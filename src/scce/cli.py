@@ -6,12 +6,13 @@ per-proxy-column unit-root pretests; ``simulate`` runs a Monte Carlo study
 over a grid of panel sizes; ``test-linearity`` tests whether the nonlinear
 sieve terms are jointly significant.
 
-Exit codes: 0 success, 2 data errors, 3 numerical errors.
+Exit codes: 0 success, 2 data or configuration errors, 3 numerical errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -21,7 +22,6 @@ from .inference import (
     BootstrapConfig,
     adf_test,
     bootstrap_ci,
-    default_hac_window,
     hac_covariance,
     linearity_test,
 )
@@ -124,8 +124,12 @@ def _emit(payload: dict, csv_rows, args) -> None:
         lines = [",".join(header)]
         lines += [",".join(str(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    _write(text, args.output)
+
+
+def _write(text: str, output: str | None) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -138,11 +142,10 @@ def _cmd_estimate(args) -> int:
         panel = first_difference(panel)
 
     result = estimate_panel(panel, method, family, knot_c, knot_rate)
-    window = args.hac_window if args.hac_window is not None else default_hac_window(panel.n_periods)
-    cov = hac_covariance(result, window)
+    cov = hac_covariance(result, args.hac_window)
 
     boot = None
-    if args.bootstrap:
+    if args.bootstrap is not None:
         boot = bootstrap_ci(panel, BootstrapConfig(
             method=method, family=family, knot_c=knot_c, knot_rate=knot_rate,
             n_draws=args.bootstrap, level=args.level, seed=args.seed))
@@ -176,7 +179,7 @@ def _cmd_estimate(args) -> int:
         "n_units": panel.n_units,
         "n_periods": panel.n_periods,
         "differenced": bool(args.diff),
-        "hac_window": window,
+        "hac_window": cov.hac_window,
         "projection_rank": result.projection_rank,
         "coefficients": coef_rows,
         "adf": adf_rows,
@@ -206,15 +209,10 @@ def _cmd_simulate(args) -> int:
     if args.format == "json":
         text = report.to_json() + "\n"
     else:
-        import io
         buf = io.StringIO()
         report.write_csv(buf)
         text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.output)
     return EXIT_OK
 
 
@@ -248,12 +246,12 @@ def main(argv=None) -> int:
                 "test-linearity": _cmd_test_linearity}
     try:
         return handlers[args.command](args)
-    except PanelDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
+    except ScceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScceError, SingularDesign, SingularUnit, TooSmall
-from .panel import FactorProxy, PanelData, cross_sectional_average
+from .panel import PanelData, cross_sectional_average
 from .sieve import BasisFamily, KnotRate, SieveBasis, build_sieve_matrix, knot_count
 
 __all__ = ["Method", "EstimationResult", "annihilate", "scce_estimate",
@@ -103,33 +103,56 @@ def _project_panel(p: PanelData, proj_columns: np.ndarray):
     return my, mx, rank
 
 
-def _pooled_solve(mx: np.ndarray, my: np.ndarray) -> np.ndarray:
-    gram = np.einsum("itk,itl->kl", mx, mx)
-    rhs = np.einsum("itk,it->k", mx, my)
-    _gate(gram)
-    return np.linalg.solve(gram, rhs)
-
-
-def _gate(gram: np.ndarray, exc=SingularDesign):
+def _gate(gram: np.ndarray) -> int | None:
+    """Index of the first matrix of a stack (0 for a single matrix) that fails
+    the relative-eigenvalue gate, or None when all pass."""
     eigvals = np.linalg.eigvalsh(gram)
-    if eigvals[-1] <= 0 or eigvals[0] <= _EIG_GATE * eigvals[-1]:
-        raise exc("Gram matrix fails the relative-eigenvalue gate; "
-                  "design is collinear or T is too small relative to the projection rank")
+    failed = (eigvals[..., -1] <= 0) | (eigvals[..., 0] <= _EIG_GATE * eigvals[..., -1])
+    return int(np.flatnonzero(failed)[0]) if failed.any() else None
+
+
+def _estimate(p: PanelData, proj_columns: np.ndarray, method: Method) -> EstimationResult:
+    """Annihilate ``proj_columns`` from every unit's y and X, then solve the
+    normal equations: pooled, or per unit and averaged for CCEMG."""
+    my, mx, rank = _project_panel(p, proj_columns)
+    per_unit = None
+    if method == Method.CCEMG:
+        d = p.n_regressors
+        if p.n_periods - rank <= d:
+            raise TooSmall(f"CCEMG needs T - rank(proxy) > d; got T={p.n_periods}, "
+                           f"rank={rank}, d={d}")
+        # Stacked matmul, not einsum: it makes the same BLAS call per unit as
+        # mx[i].T @ mx[i], so the per-unit betas keep their bits.
+        mx_t = mx.transpose(0, 2, 1)
+        gram = mx_t @ mx
+        bad = _gate(gram)
+        if bad is not None:
+            raise SingularUnit(p.unit_labels[bad])
+        per_unit = np.linalg.solve(gram, mx_t @ my[:, :, None])[:, :, 0]
+        beta = per_unit.mean(axis=0)
+    else:
+        gram = np.einsum("itk,itl->kl", mx, mx)
+        rhs = np.einsum("itk,it->k", mx, my)
+        if _gate(gram) is not None:
+            raise SingularDesign("Gram matrix fails the relative-eigenvalue gate; "
+                                 "design is collinear or T is too small relative to "
+                                 "the projection rank")
+        beta = np.linalg.solve(gram, rhs)
+    return EstimationResult(
+        beta=beta,
+        method=method,
+        eps_hat=my - np.einsum("itk,k->it", mx, beta),
+        v_hat=mx,
+        projection_rank=rank,
+        per_unit_betas=per_unit,
+    )
 
 
 def scce_estimate(p: PanelData, basis: SieveBasis) -> EstimationResult:
     """Pooled estimator with the sieve basis as projection columns."""
     if basis.matrix.shape[0] != p.n_periods:
         raise ScceError("basis row count must equal the panel's T")
-    my, mx, rank = _project_panel(p, basis.matrix)
-    beta = _pooled_solve(mx, my)
-    return EstimationResult(
-        beta=beta,
-        method=Method.SCCE,
-        eps_hat=my - np.einsum("itk,k->it", mx, beta),
-        v_hat=mx,
-        projection_rank=rank,
-    )
+    return _estimate(p, basis.matrix, Method.SCCE)
 
 
 def _linear_proxy_columns(p: PanelData) -> np.ndarray:
@@ -142,47 +165,17 @@ def ccep_estimate(p: PanelData) -> EstimationResult:
     d = p.n_regressors
     if p.n_periods < 2 * d + 3:
         raise TooSmall(f"CCEP needs T >= {2 * d + 3}, got T={p.n_periods}")
-    my, mx, rank = _project_panel(p, _linear_proxy_columns(p))
-    beta = _pooled_solve(mx, my)
-    return EstimationResult(
-        beta=beta,
-        method=Method.CCEP,
-        eps_hat=my - np.einsum("itk,k->it", mx, beta),
-        v_hat=mx,
-        projection_rank=rank,
-    )
+    return _estimate(p, _linear_proxy_columns(p), Method.CCEP)
 
 
 def ccemg_estimate(p: PanelData) -> EstimationResult:
     """Mean-group CCE: average of per-unit estimates after projecting [1, F_hat]."""
-    d = p.n_regressors
-    my, mx, rank = _project_panel(p, _linear_proxy_columns(p))
-    if p.n_periods - rank <= d:
-        raise TooSmall(f"CCEMG needs T - rank(proxy) > d; got T={p.n_periods}, "
-                       f"rank={rank}, d={d}")
-    per_unit = np.empty((p.n_units, d))
-    for i in range(p.n_units):
-        gram = mx[i].T @ mx[i]
-        try:
-            _gate(gram)
-        except SingularDesign:
-            raise SingularUnit(p.unit_labels[i]) from None
-        per_unit[i] = np.linalg.solve(gram, mx[i].T @ my[i])
-    beta = per_unit.mean(axis=0)
-    return EstimationResult(
-        beta=beta,
-        method=Method.CCEMG,
-        eps_hat=my - np.einsum("itk,k->it", mx, beta),
-        v_hat=mx,
-        projection_rank=rank,
-        per_unit_betas=per_unit,
-    )
+    return _estimate(p, _linear_proxy_columns(p), Method.CCEMG)
 
 
 def estimate_panel(p: PanelData, method: Method = Method.SCCE,
                    family: BasisFamily = BasisFamily(), knot_c: int = 1,
-                   knot_rate: KnotRate = KnotRate.QUARTER,
-                   proxy: FactorProxy | None = None) -> EstimationResult:
+                   knot_rate: KnotRate = KnotRate.QUARTER) -> EstimationResult:
     """Run the configured estimator end to end on a panel.
 
     For the sieve estimator this rebuilds the factor proxy, knots, and basis
@@ -193,8 +186,6 @@ def estimate_panel(p: PanelData, method: Method = Method.SCCE,
         return ccep_estimate(p)
     if method == Method.CCEMG:
         return ccemg_estimate(p)
-    if proxy is None:
-        proxy = cross_sectional_average(p)
     j = knot_count(p.n_periods, knot_c, knot_rate)
-    basis = build_sieve_matrix(proxy, family, j)
+    basis = build_sieve_matrix(cross_sectional_average(p), family, j)
     return scce_estimate(p, basis)

@@ -9,8 +9,6 @@ an augmented Dickey-Fuller pretest with BIC lag selection.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +20,19 @@ from .errors import (
     ScceError,
     SeriesTooShort,
     SingularSigmaV,
-    TooManySkipped,
     WindowTooLarge,
 )
-from .estimators import EstimationResult, Method, annihilate, estimate_panel
-from .panel import PanelData, cross_sectional_average
+from .estimators import (
+    EstimationResult,
+    Method,
+    _gate,
+    _linear_proxy_columns,
+    annihilate,
+    estimate_panel,
+)
+from .panel import PanelData
 from .sieve import TAG_NONLINEAR, BasisFamily, KnotRate, SieveBasis
+from .simulate import replicate, stream
 
 __all__ = ["CovarianceEstimate", "BootstrapResult", "TestResult", "BootstrapConfig",
            "default_hac_window", "sigma_v_hat", "hac_theta", "sandwich_covariance",
@@ -35,8 +40,6 @@ __all__ = ["CovarianceEstimate", "BootstrapResult", "TestResult", "BootstrapConf
 
 # Large-T constant-case ADF critical values at the 1%, 5% and 10% levels.
 _ADF_CRITICAL = ((-3.43, 0.01), (-2.86, 0.05), (-2.57, 0.10))
-
-_SKIP_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,21 @@ def sigma_v_hat(result: EstimationResult) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
+def _check_window(window: int, t: int) -> None:
+    if window < 0 or window >= t:
+        raise WindowTooLarge(f"HAC window must satisfy 0 <= L <= T-1; got L={window}, T={t}")
+
+
+def _bartlett(lag_cov, window: int) -> np.ndarray:
+    """Gamma_0 + sum_{l=1..L} (1 - l/(L+1)) (Gamma_l + Gamma_l'), symmetrised;
+    ``lag_cov(l)`` returns Gamma_l."""
+    total = lag_cov(0)
+    for lag in range(1, window + 1):
+        gamma = lag_cov(lag)
+        total += (1.0 - lag / (window + 1.0)) * (gamma + gamma.T)
+    return (total + total.T) / 2.0
+
+
 def hac_theta(result: EstimationResult, window: int | None = None) -> np.ndarray:
     """Bartlett-weighted HAC estimate of the score long-run covariance.
 
@@ -92,22 +110,20 @@ def hac_theta(result: EstimationResult, window: int | None = None) -> np.ndarray
     n, t = result.n_units, result.n_periods
     if window is None:
         window = default_hac_window(t)
-    if window < 0 or window >= t:
-        raise WindowTooLarge(f"HAC window must satisfy 0 <= L <= T-1; got L={window}, T={t}")
+    _check_window(window, t)
     scores = result.eps_hat[:, :, None] * result.v_hat  # N x T x d
-    theta = np.einsum("itk,itl->kl", scores, scores) / (n * t)
-    for lag in range(1, window + 1):
-        theta_l = np.einsum("itk,itl->kl", scores[:, lag:, :], scores[:, :-lag, :]) / (n * t)
-        theta += (1.0 - lag / (window + 1.0)) * (theta_l + theta_l.T)
-    return (theta + theta.T) / 2.0
+
+    def lag_cov(lag: int) -> np.ndarray:
+        return np.einsum("itk,itl->kl", scores[:, lag:, :], scores[:, :t - lag, :]) / (n * t)
+
+    return _bartlett(lag_cov, window)
 
 
 def sandwich_covariance(sigma_v: np.ndarray, theta: np.ndarray,
                         n_units: int, n_periods: int,
                         hac_window: int) -> CovarianceEstimate:
     """Sigma_v^{-1} Theta Sigma_v^{-1} and std errors sqrt(diag / (N T))."""
-    eigvals = np.linalg.eigvalsh(sigma_v)
-    if eigvals[-1] <= 0 or eigvals[0] <= 1e-10 * eigvals[-1]:
+    if _gate(sigma_v) is not None:
         raise SingularSigmaV("residual second-moment matrix is numerically singular")
     inv = np.linalg.inv(sigma_v)
     sandwich = inv @ theta @ inv
@@ -148,13 +164,6 @@ class BootstrapConfig:
             raise ScceError("confidence level must lie in (0, 1)")
 
 
-def _worker_count(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("SCCE_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _resample(p: PanelData, idx: np.ndarray) -> PanelData:
     return PanelData(y=p.y[idx], x=p.x[idx],
                      unit_labels=tuple(range(len(idx))),
@@ -170,28 +179,12 @@ def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> B
     replications are skipped and counted; more than 1% skipped is an error.
     """
     n = p.n_units
-
-    def one_draw(b: int):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(config.seed, spawn_key=(b,))))
-        idx = rng.integers(0, n, size=n)
-        try:
-            return estimate_panel(_resample(p, idx), config.method, config.family,
-                                  config.knot_c, config.knot_rate).beta
-        except ScceError:
-            return None
-
-    workers = _worker_count(config.max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_draw, range(config.n_draws)))
-    else:
-        results = [one_draw(b) for b in range(config.n_draws)]
-
-    skipped = sum(r is None for r in results)
-    if skipped > _SKIP_TOLERANCE * config.n_draws:
-        raise TooManySkipped(skipped, config.n_draws)
-    draws = np.array([r for r in results if r is not None])
+    kept, skipped = replicate(
+        lambda b: _resample(p, stream(config.seed, b).integers(0, n, size=n)),
+        lambda q: estimate_panel(q, config.method, config.family,
+                                 config.knot_c, config.knot_rate).beta,
+        config.n_draws, config.max_workers)
+    draws = np.array(kept)
     alpha = (1.0 - config.level) / 2.0
     return BootstrapResult(
         draws=draws,
@@ -229,36 +222,28 @@ def linearity_test(p: PanelData, basis: SieveBasis,
     n, t = p.n_units, p.n_periods
     if window is None:
         window = 2 * default_hac_window(t)
-    if window < 0 or window >= t:
-        raise WindowTooLarge(f"HAC window must satisfy 0 <= L <= T-1; got L={window}, T={t}")
+    _check_window(window, t)
 
-    restricted = estimate_panel(p, Method.CCEP)
-    resid = restricted.eps_hat  # N x T, already orthogonal to [1, F_hat]
+    resid = estimate_panel(p, Method.CCEP).eps_hat  # N x T, orthogonal to [1, F_hat]
+    q_cols, proxy_rank = annihilate(_linear_proxy_columns(p), nonlinear)
+    q_rank = int(np.linalg.matrix_rank(q_cols))
     if np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(p.y)):
         # Exact fit: the quadratic form below is scale-invariant, so rounding
         # noise would otherwise masquerade as signal.
-        q_rank = int(np.linalg.matrix_rank(
-            annihilate(np.hstack([np.ones((t, 1)), cross_sectional_average(p).values]),
-                       nonlinear)[0]))
         return TestResult(statistic=0.0, dof=(n - 1) * max(q_rank, 1), p_value=1.0,
                           decision_at_5pct=False,
                           detail={"hac_window": window, "degenerate": True})
-    proxy_cols = np.hstack([np.ones((t, 1)), cross_sectional_average(p).values])
-    q_cols, proxy_rank = annihilate(proxy_cols, nonlinear)
-    q_rank = int(np.linalg.matrix_rank(q_cols))
     if q_rank == 0:
         raise NoNonlinearColumns("nonlinear columns lie entirely in the linear proxy span")
 
     scores = resid @ q_cols  # N x q, unit-level scores Q' u_i
     # HAC covariance of the per-(i, t) score summands q_t * resid_it with
     # Bartlett weights; T * cov approximates the covariance of one unit score.
-    w0 = (resid * resid).sum(axis=0)
-    cov = (q_cols * w0[:, None]).T @ q_cols / (n * t)
-    for lag in range(1, window + 1):
-        wl = (resid[:, lag:] * resid[:, :-lag]).sum(axis=0)
-        cov_l = (q_cols[lag:] * wl[:, None]).T @ q_cols[:-lag] / (n * t)
-        cov += (1.0 - lag / (window + 1.0)) * (cov_l + cov_l.T)
-    cov = (cov + cov.T) / 2.0
+    def lag_cov(lag: int) -> np.ndarray:
+        wl = (resid[:, lag:] * resid[:, :t - lag]).sum(axis=0)
+        return (q_cols[lag:] * wl[:, None]).T @ q_cols[:t - lag] / (n * t)
+
+    cov = _bartlett(lag_cov, window)
     cov *= t / (t - proxy_rank)
 
     cov_pinv = np.linalg.pinv(cov)

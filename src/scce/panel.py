@@ -154,7 +154,11 @@ def validate_panel(records) -> PanelData:
 
 def load_panel_csv(path) -> PanelData:
     """Read a panel from CSV in the long format ``unit,time,y,x1,...,xd``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise PanelDataError(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -167,6 +171,9 @@ def load_panel_csv(path) -> PanelData:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 3:
+                raise PanelDataError(f"{path}: line {reader.line_num} has {len(row)} "
+                                     f"field(s); need at least unit,time,y")
             unit = row[0].strip()
             try:
                 time = int(row[1])

@@ -97,8 +97,42 @@ class SimulatedPanel:
 
 def stream(seed: int, *key) -> np.random.Generator:
     """Counter-based Philox generator on the stream (seed, *key)."""
+    if seed < 0:
+        raise ScceError("seed must be a non-negative integer")
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))))
+
+
+def replicate(draw, estimate, count: int, workers: int | None = None) -> tuple[list, int]:
+    """``estimate(draw(i))`` for i = 0..count-1 in order, minus the skipped
+    ones, and the skip count. ScceError from ``estimate`` skips a replication
+    (over 1% raise TooManySkipped); errors from ``draw`` propagate. Runs on
+    ``workers`` threads, by default SCCE_THREADS, else one."""
+    def one(i: int):
+        sample = draw(i)
+        try:
+            return estimate(sample)
+        except ScceError:
+            return None
+
+    if workers is None:
+        env = os.environ.get("SCCE_THREADS") or "1"
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ScceError(f"SCCE_THREADS must be a positive integer, got {env!r}")
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(count)))
+    else:
+        results = [one(i) for i in range(count)]
+    kept = [r for r in results if r is not None]
+    skipped = count - len(kept)
+    if skipped > _SKIP_TOLERANCE * count:
+        raise TooManySkipped(skipped, count)
+    return kept, skipped
 
 
 def _draw_factors(rng: np.random.Generator, t: int, mode: FactorMode) -> np.ndarray:
@@ -276,11 +310,6 @@ class McReport:
                           sort_keys=True, indent=2)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SCCE_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def monte_carlo_run(grid, dgp_config: DgpConfig,
                     estimator: EstimatorConfig = EstimatorConfig(),
                     reps: int = 1000, seed: int = 0) -> McReport:
@@ -295,29 +324,16 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
         raise ScceError("need at least one replication")
     grid = [(int(n), int(t)) for n, t in grid]
 
-    def one_rep(cell_idx: int, rep: int, n: int, t: int):
-        cfg = replace(dgp_config, n=n, t=t,
-                      seed=_pack_stream_seed(seed, cell_idx, rep))
-        sim = generate_panel(cfg)
-        try:
-            result = estimate_panel(sim.panel, estimator.method, estimator.family,
-                                    estimator.knot_c, estimator.knot_rate)
-        except ScceError:
-            return None
-        return result.beta - sim.beta
+    def estimate(sim: SimulatedPanel) -> np.ndarray:
+        return estimate_panel(sim.panel, estimator.method, estimator.family,
+                              estimator.knot_c, estimator.knot_rate).beta - sim.beta
 
     cells = []
-    workers = _worker_count()
     for cell_idx, (n, t) in enumerate(grid):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                errors = list(pool.map(lambda r: one_rep(cell_idx, r, n, t), range(reps)))
-        else:
-            errors = [one_rep(cell_idx, r, n, t) for r in range(reps)]
-        skipped = sum(e is None for e in errors)
-        if skipped > _SKIP_TOLERANCE * reps:
-            raise TooManySkipped(skipped, reps)
-        kept = [e for e in errors if e is not None]
+        kept, skipped = replicate(
+            lambda rep: generate_panel(replace(dgp_config, n=n, t=t,
+                                               seed=_pack_stream_seed(seed, cell_idx, rep))),
+            estimate, reps)
         n_kept = len(kept)
         d = len(kept[0])
         abs_bias = tuple(abs(math.fsum(e[k] for e in kept)) / n_kept for k in range(d))

@@ -105,6 +105,41 @@ class TestEstimate:
         assert "error" in capsys.readouterr().err
 
 
+SIM = ["simulate", "--dgp", "e1", "--n", "5", "--t", "10", "--reps", "2"]
+CONFIG_ERRORS = [
+    (["estimate", "--input", "{csv}", "--bootstrap", "1"], {}, "at least 2 draws"),
+    (["estimate", "--input", "{csv}", "--bootstrap", "0"], {}, "at least 2 draws"),
+    (["estimate", "--input", "{csv}", "--knot-c", "0"], {}, "knot multiplier"),
+    (["estimate", "--input", "{csv}", "--bootstrap", "5", "--level", "2"], {},
+     "confidence level"),
+    (["estimate", "--input", "{csv}", "--bootstrap", "5", "--seed", "-1"], {},
+     "seed must be a non-negative integer"),
+    (["estimate", "--input", "{csv}", "--bootstrap", "5"], {"SCCE_THREADS": "abc"},
+     "SCCE_THREADS must be a positive integer, got 'abc'"),
+    (SIM + ["--error-pi", "1.5"], {}, "error correlation pi"),
+    (SIM + ["--seed", "-1"], {}, "seed must be a non-negative integer"),
+    (SIM, {"SCCE_THREADS": "0"}, "SCCE_THREADS must be a positive integer, got '0'"),
+    (["estimate", "--input", "{missing}"], {}, "{missing}: cannot open"),
+    (["test-linearity", "--input", "{short_row}"], {}, "{short_row}: line 2 has 1 field"),
+]
+
+
+@pytest.mark.parametrize("argv, env, message", CONFIG_ERRORS)
+def test_bad_input_exits_2_with_one_line(argv, env, message, panel_csv, tmp_path,
+                                         monkeypatch, capsys):
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("unit,time,y,x1\n1\n")
+    paths = {"csv": panel_csv, "missing": str(tmp_path / "absent.csv"),
+             "short_row": str(short_row)}
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([a.format(**paths) for a in argv]) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message.format(**paths) in err
+
+
 class TestSimulate:
     def test_csv_report_contract(self, capsys):
         assert main(["simulate", "--dgp", "e1", "--n", "10", "--t", "20",

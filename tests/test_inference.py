@@ -115,8 +115,9 @@ class TestHacTheta:
 
     def test_window_too_large(self):
         result = random_result(n=2, t=10, seed=4)
-        with pytest.raises(WindowTooLarge):
-            hac_theta(result, 10)
+        for window in (10, -1):
+            with pytest.raises(WindowTooLarge):
+                hac_theta(result, window)
 
     def test_default_window_rule(self):
         assert default_hac_window(8) == 2
@@ -261,8 +262,9 @@ class TestLinearityTest:
 
     def test_window_too_large(self, random_panel):
         p = random_panel(n=6, t=40, seed=17)
-        with pytest.raises(WindowTooLarge):
-            linearity_test(p, basis_for(p), window=40)
+        for window in (40, -1):
+            with pytest.raises(WindowTooLarge):
+                linearity_test(p, basis_for(p), window=window)
 
     def test_reports_dof_and_window(self, random_panel):
         p = random_panel(n=6, t=40, seed=18)

@@ -20,6 +20,7 @@ from scce import (
     Method,
     ScceError,
     SingularDesign,
+    TooManySkipped,
     ccep_estimate,
     generate_correlated_errors,
     generate_e1,
@@ -206,3 +207,10 @@ class TestMonteCarloRun:
     def test_rejects_zero_reps(self):
         with pytest.raises(ScceError):
             monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=0)
+
+    def test_invalid_cell_raises_dgp_error_not_skips(self):
+        # Only the estimate is guarded: a cell the DGP rejects must not be
+        # counted as skipped replications.
+        with pytest.raises(ScceError, match="DGP needs") as excinfo:
+            monte_carlo_run([(0, 10)], DgpConfig(dgp=Dgp.E1), reps=3)
+        assert not isinstance(excinfo.value, TooManySkipped)
