@@ -7,12 +7,18 @@ over a grid of panel sizes; ``test-linearity`` tests whether the nonlinear
 sieve terms are jointly significant.
 
 Exit codes: 0 success, 2 data or configuration errors, 3 numerical errors.
+Exit 2 covers unreadable or malformed CSV panels (a missing file, text that
+is not UTF-8, an oversized field, a row whose width differs from the
+header's), bad flags (unknown, malformed or out of range, ``--hac-window``
+outside 0..T-1 among them), a bad ``SCCE_THREADS`` and an ``--output`` that
+cannot be opened, which is checked before any work. Each error is one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
 
@@ -49,13 +55,16 @@ def _family(name: str) -> BasisFamily:
     return BasisFamily(kind=kind)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one `error:` line and exit 2, not usage and SystemExit
+        raise ScceError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="scce",
-                                     description="Sieve-augmented CCE estimation for panel data")
+    parser = _Parser(prog="scce", description="Sieve-augmented CCE estimation for panel data")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_basis_flags(p):
-        p.add_argument("--method", choices=[m.value for m in Method], default="scce")
         p.add_argument("--knot-c", type=int, default=None,
                        help="knot multiplier C in J = C*floor(T**(1/r)) (default 1)")
         p.add_argument("--knot-rate", choices=[r.value for r in KnotRate], default=None,
@@ -63,8 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=["cubic", "hermite", "power"], default=None,
                        help="sieve basis family (default cubic)")
 
+    def add_output_flags(p, default_format):
+        p.add_argument("--output", default=None, help="write report here (default stdout)")
+        p.add_argument("--format", choices=["json", "csv"], default=default_format)
+
     est = sub.add_parser("estimate", help="estimate coefficients from a CSV panel")
     est.add_argument("--input", required=True)
+    est.add_argument("--method", choices=[m.value for m in Method], default="scce")
     add_basis_flags(est)
     est.add_argument("--diff", action="store_true", help="first-difference the panel")
     est.add_argument("--hac-window", type=int, default=None)
@@ -73,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--level", type=float, default=0.95)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--no-adf", action="store_true", help="skip the unit-root pretests")
-    est.add_argument("--output", default=None, help="write report here (default stdout)")
-    est.add_argument("--format", choices=["json", "csv"], default="json")
+    add_output_flags(est, "json")
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     sim.add_argument("--dgp", choices=[d.value for d in Dgp], required=True)
@@ -83,63 +96,60 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t", type=int, action="append", required=True)
     sim.add_argument("--reps", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--method", choices=[m.value for m in Method], default="scce")
     add_basis_flags(sim)
     sim.add_argument("--factor-mode", choices=[m.value for m in FactorMode],
                      default="stationary")
     sim.add_argument("--error-pi", type=float, default=0.0,
                      help="error correlation (0 = iid)")
-    sim.add_argument("--output", default=None)
-    sim.add_argument("--format", choices=["json", "csv"], default="csv")
+    add_output_flags(sim, "csv")
 
     lin = sub.add_parser("test-linearity", help="test the nonlinear sieve terms")
     lin.add_argument("--input", required=True)
     add_basis_flags(lin)
     lin.add_argument("--diff", action="store_true")
     lin.add_argument("--hac-window", type=int, default=None)
-    lin.add_argument("--output", default=None)
-    lin.add_argument("--format", choices=["json", "csv"], default="json")
+    add_output_flags(lin, "json")
 
     return parser
 
 
 def _resolve_basis(args):
     """Fill basis defaults; warn when knot flags are set on a linear method."""
-    method = Method(args.method)
-    knot_flags_set = any(v is not None for v in
-                         (args.knot_c, args.knot_rate, getattr(args, "family", None)))
-    if method != Method.SCCE and knot_flags_set:
+    method = Method(getattr(args, "method", Method.SCCE))
+    if method != Method.SCCE and any(v is not None for v in
+                                     (args.knot_c, args.knot_rate, args.family)):
         print(f"warning: --method {method.value} ignores knot/basis flags",
               file=sys.stderr)
     knot_c = args.knot_c if args.knot_c is not None else 1
     knot_rate = KnotRate(args.knot_rate) if args.knot_rate is not None else KnotRate.QUARTER
-    family = _family(args.family) if getattr(args, "family", None) else BasisFamily()
+    family = _family(args.family) if args.family else BasisFamily()
     return method, family, knot_c, knot_rate
 
 
-def _emit(payload: dict, csv_rows, args) -> None:
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        header, rows = csv_rows
-        lines = [",".join(header)]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _write(text, args.output)
-
-
-def _write(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_estimate(args) -> int:
-    method, family, knot_c, knot_rate = _resolve_basis(args)
+def _load(args):
     panel = load_panel_csv(args.input)
-    if args.diff:
-        panel = first_difference(panel)
+    return first_difference(panel) if args.diff else panel
+
+
+def _emit(out, args, payload: dict, header: list, rows: list) -> None:
+    """Write ``payload`` as JSON, or the dict ``rows`` as CSV under ``header``:
+    floats as .10g, other values as str, missing keys empty."""
+    if args.format == "json":
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return
+
+    def field(row, key):
+        value = row.get(key, "")
+        return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+    lines = [",".join(header)] + [",".join(field(r, k) for k in header) for r in rows]
+    out.write("\n".join(lines) + "\n")
+
+
+def _cmd_estimate(args, out) -> int:
+    method, family, knot_c, knot_rate = _resolve_basis(args)
+    panel = _load(args)
 
     result = estimate_panel(panel, method, family, knot_c, knot_rate)
     cov = hac_covariance(result, args.hac_window)
@@ -187,15 +197,12 @@ def _cmd_estimate(args) -> int:
     if boot is not None:
         payload["bootstrap"] = {"draws": args.bootstrap, "level": args.level,
                                 "seed": args.seed, "skipped": boot.skipped}
-    header = ["coef", "estimate", "hac_std_error", "ci_lower", "ci_upper"]
-    rows = [[r["coef"], f"{r['estimate']:.10g}", f"{r['hac_std_error']:.10g}",
-             f"{r['ci_lower']:.10g}" if "ci_lower" in r else "",
-             f"{r['ci_upper']:.10g}" if "ci_upper" in r else ""] for r in coef_rows]
-    _emit(payload, (header, rows), args)
+    _emit(out, args, payload, ["coef", "estimate", "hac_std_error", "ci_lower", "ci_upper"],
+          coef_rows)
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, out) -> int:
     method, family, knot_c, knot_rate = _resolve_basis(args)
     if len(args.n) != len(args.t):
         raise PanelDataError("--n and --t must be given the same number of times")
@@ -206,21 +213,15 @@ def _cmd_simulate(args) -> int:
     est_cfg = EstimatorConfig(method=method, family=family,
                               knot_c=knot_c, knot_rate=knot_rate)
     report = monte_carlo_run(grid, dgp_cfg, est_cfg, reps=args.reps, seed=args.seed)
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    else:
-        buf = io.StringIO()
-        report.write_csv(buf)
-        text = buf.getvalue()
-    _write(text, args.output)
+    rows = report.to_rows()
+    _emit(out, args, {"schema_version": SCHEMA_VERSION, "rows": rows},
+          ["n", "t", "dgp", "estimator", "coef", "abs_bias", "rmse", "reps", "skipped"], rows)
     return EXIT_OK
 
 
-def _cmd_test_linearity(args) -> int:
+def _cmd_test_linearity(args, out) -> int:
     _, family, knot_c, knot_rate = _resolve_basis(args)
-    panel = load_panel_csv(args.input)
-    if args.diff:
-        panel = first_difference(panel)
+    panel = _load(args)
     proxy = cross_sectional_average(panel)
     j = knot_count(panel.n_periods, knot_c, knot_rate)
     basis = build_sieve_matrix(proxy, family, j)
@@ -234,18 +235,23 @@ def _cmd_test_linearity(args) -> int:
         "reject_linearity_5pct": res.decision_at_5pct,
         "hac_window": res.detail["hac_window"],
     }
-    header = ["statistic", "dof", "p_value", "reject_linearity_5pct"]
-    rows = [[f"{res.statistic:.10g}", res.dof, f"{res.p_value:.10g}", res.decision_at_5pct]]
-    _emit(payload, (header, rows), args)
+    _emit(out, args, payload, ["statistic", "dof", "p_value", "reject_linearity_5pct"],
+          [payload])
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"estimate": _cmd_estimate, "simulate": _cmd_simulate,
                 "test-linearity": _cmd_test_linearity}
     try:
-        return handlers[args.command](args)
+        args = build_parser().parse_args(argv)
+        try:
+            target = (open(args.output, "w", encoding="utf-8") if args.output
+                      else contextlib.nullcontext(sys.stdout))
+        except OSError as exc:
+            raise ScceError(f"{args.output}: cannot write: {exc.strerror}") from None
+        with target as out:
+            return handlers[args.command](args, out)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR

@@ -60,8 +60,8 @@ class SingularSigmaV(NumericalError):
     """Residual second-moment matrix is not invertible."""
 
 
-class WindowTooLarge(NumericalError):
-    """HAC window exceeds the available sample length."""
+class WindowTooLarge(ScceError):
+    """HAC window outside 0..T-1: a configuration error, not a numerical one."""
 
 
 class SeriesTooShort(NumericalError):

@@ -55,8 +55,10 @@ class PanelData:
             raise PanelDataError("unit labels must be unique")
         if any(b <= a for a, b in zip(self.time_labels, self.time_labels[1:])):
             raise PanelDataError("time labels must be strictly increasing")
-        if not np.isfinite(y).all() or not np.isfinite(x).all():
-            raise NonFiniteValue("panel contains NaN or infinite entries")
+        if not (np.isfinite(y).all() and np.isfinite(x).all()):
+            i, j = np.argwhere(~(np.isfinite(y) & np.isfinite(x).all(axis=2)))[0]
+            raise NonFiniteValue(f"non-finite value in cell (unit={self.unit_labels[i]!r}, "
+                                 f"time={self.time_labels[j]!r})")
         y.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -136,20 +138,12 @@ def validate_panel(records) -> PanelData:
     if n < 2 or t_len < 2:
         raise TooSmall(f"need N >= 2 and T >= 2; got N={n}, T={t_len}")
 
-    y = np.empty((n, t_len))
-    x = np.empty((n, t_len, d))
-    for i, u in enumerate(units):
-        for j, tm in enumerate(times):
-            try:
-                vals = cells[(u, tm)]
-            except KeyError:
-                raise UnbalancedPanel(u, tm) from None
-            if not all(np.isfinite(vals)):
-                raise NonFiniteValue(f"non-finite value in cell (unit={u!r}, time={tm!r})")
-            y[i, j] = vals[0]
-            x[i, j, :] = vals[1:]
-
-    return PanelData(y=y, x=x, unit_labels=tuple(units), time_labels=tuple(times))
+    try:
+        grid = np.array([cells[u, tm] for u in units for tm in times]).reshape(n, t_len, d + 1)
+    except KeyError as exc:
+        raise UnbalancedPanel(*exc.args[0]) from None
+    return PanelData(y=grid[:, :, 0], x=grid[:, :, 1:],
+                     unit_labels=tuple(units), time_labels=tuple(times))
 
 
 def load_panel_csv(path) -> PanelData:
@@ -161,25 +155,28 @@ def load_panel_csv(path) -> PanelData:
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelDataError(f"{path}: empty file") from None
-        header = [h.strip().lower() for h in header]
-        if header[:3] != ["unit", "time", "y"]:
-            raise PanelDataError(f"{path}: header must start with 'unit,time,y', got {header[:3]}")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise PanelDataError(f"{path}: line {reader.line_num} has {len(row)} "
-                                     f"field(s); need at least unit,time,y")
-            unit = row[0].strip()
-            try:
-                time = int(row[1])
-            except ValueError:
-                raise PanelDataError(f"{path}: time label {row[1]!r} is not an integer") from None
-            records.append((unit, time, *row[2:]))
+            header = next(reader, None)
+            if header is None:
+                raise PanelDataError(f"{path}: empty file")
+            header = [h.strip().lower() for h in header]
+            if header[:3] != ["unit", "time", "y"]:
+                raise PanelDataError(f"{path}: header must start with 'unit,time,y', got {header[:3]}")
+            records = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise PanelDataError(f"{path}: line {reader.line_num} has {len(row)} "
+                                         f"field(s); the header has {len(header)}")
+                try:
+                    time = int(row[1])
+                except ValueError:
+                    raise PanelDataError(f"{path}: time label {row[1]!r} is not an integer") from None
+                records.append((row[0].strip(), time, *row[2:]))
+        except UnicodeDecodeError as exc:
+            raise PanelDataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise PanelDataError(f"{path}: line {reader.line_num}: {exc}") from None
     return validate_panel(records)
 
 

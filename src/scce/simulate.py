@@ -13,7 +13,6 @@ order and parallel runs reproduce serial ones bit for bit.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -299,16 +298,6 @@ class McReport:
                 })
         return rows
 
-    def write_csv(self, fh) -> None:
-        fh.write("n,t,dgp,estimator,coef,abs_bias,rmse,reps,skipped\n")
-        for r in self.to_rows():
-            fh.write(f"{r['n']},{r['t']},{r['dgp']},{r['estimator']},{r['coef']},"
-                     f"{r['abs_bias']:.10g},{r['rmse']:.10g},{r['reps']},{r['skipped']}\n")
-
-    def to_json(self) -> str:
-        return json.dumps({"schema_version": 1, "rows": self.to_rows()},
-                          sort_keys=True, indent=2)
-
 
 def monte_carlo_run(grid, dgp_config: DgpConfig,
                     estimator: EstimatorConfig = EstimatorConfig(),
@@ -320,9 +309,11 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
     stream (seed, c, r). Aggregation uses exact (fsum) summation in
     replication order, so the report is identical under any thread count.
     """
+    grid = [(int(n), int(t)) for n, t in grid]
     if reps < 1:
         raise ScceError("need at least one replication")
-    grid = [(int(n), int(t)) for n, t in grid]
+    if reps > 1 << 28 or len(grid) > 1 << 12:
+        raise ScceError("at most 2**28 replications and 2**12 grid cells fit the stream packing")
 
     def estimate(sim: SimulatedPanel) -> np.ndarray:
         return estimate_panel(sim.panel, estimator.method, estimator.family,
@@ -346,5 +337,6 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
 
 def _pack_stream_seed(seed: int, cell: int, rep: int) -> int:
     """Fold (cell, rep) into the entropy so generate_panel's sub-streams stay
-    disjoint across replications; the packing is fixed and documented."""
+    disjoint across replications. The packing is fixed, and injective for the
+    rep < 2**28 and cell < 2**12 that monte_carlo_run admits."""
     return (seed << 40) ^ (cell << 28) ^ rep

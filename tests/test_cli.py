@@ -121,16 +121,32 @@ CONFIG_ERRORS = [
     (SIM, {"SCCE_THREADS": "0"}, "SCCE_THREADS must be a positive integer, got '0'"),
     (["estimate", "--input", "{missing}"], {}, "{missing}: cannot open"),
     (["test-linearity", "--input", "{short_row}"], {}, "{short_row}: line 2 has 1 field"),
+    (["estimate", "--input", "{csv}", "--output", "{nodir}"], {}, "{nodir}: cannot write"),
+    (SIM + ["--output", "{nodir}"], {}, "{nodir}: cannot write"),
+    (["estimate", "--input", "{csv}", "--hac-window", "20"], {}, "HAC window must satisfy"),
+    (["test-linearity", "--input", "{csv}", "--hac-window", "20"], {},
+     "HAC window must satisfy"),
+    (["test-linearity", "--input", "{csv}", "--method", "ccep"], {},
+     "unrecognized arguments: --method ccep"),
+    (["estimate", "--input", "{bad_utf8}"], {}, "{bad_utf8}: not UTF-8 text"),
+    (["estimate", "--input", "{long_field}"], {}, "{long_field}: line 2: field larger than"),
+    (["estimate", "--input", "{narrow_row}"], {},
+     "{narrow_row}: line 2 has 4 field(s); the header has 5"),
 ]
 
 
 @pytest.mark.parametrize("argv, env, message", CONFIG_ERRORS)
 def test_bad_input_exits_2_with_one_line(argv, env, message, panel_csv, tmp_path,
                                          monkeypatch, capsys):
-    short_row = tmp_path / "short.csv"
-    short_row.write_text("unit,time,y,x1\n1\n")
+    files = {"short_row": b"unit,time,y,x1\n1\n",
+             "bad_utf8": b"unit,time,y,x1\n0,0,\xff,1\n",
+             "long_field": b"unit,time,y,x1\n0,0," + b"1" * (128 * 1024 + 1) + b",1\n",
+             "narrow_row": b"unit,time,y,x1,x2\n0,0,1.0,2.0\n"}
     paths = {"csv": panel_csv, "missing": str(tmp_path / "absent.csv"),
-             "short_row": str(short_row)}
+             "nodir": str(tmp_path / "nodir" / "out.json")}
+    for name, content in files.items():
+        (tmp_path / f"{name}.csv").write_bytes(content)
+        paths[name] = str(tmp_path / f"{name}.csv")
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert main([a.format(**paths) for a in argv]) == EXIT_DATA_ERROR
@@ -147,9 +163,9 @@ class TestSimulate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,t,dgp,estimator,coef,abs_bias,rmse,reps,skipped"
         assert len(lines) == 3  # one row per coefficient
-        for line in lines[1:]:
+        for coef, line in enumerate(lines[1:], start=1):
             fields = line.split(",")
-            assert fields[:4] == ["10", "20", "e1", "scce"]
+            assert fields[:5] == ["10", "20", "e1", "scce", str(coef)]
             assert float(fields[6]) >= float(fields[5])  # rmse >= abs_bias
 
     def test_grid_length_mismatch_exits_2(self, capsys):

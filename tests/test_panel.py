@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scce import (
     DgpConfig,
     DuplicateCell,
     NonFiniteValue,
     PanelData,
+    PanelDataError,
     TooSmall,
     UnbalancedPanel,
     cross_sectional_average,
@@ -71,7 +74,7 @@ class TestPanelData:
     def test_rejects_nonfinite(self):
         y = np.ones((2, 3))
         y[0, 1] = np.inf
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match=r"\(unit=0, time=1\)"):
             make_panel(y, np.ones((2, 3, 1)))
 
     def test_rejects_unsorted_time_labels(self):
@@ -163,3 +166,17 @@ class TestCsvRoundTrip:
         q = load_panel_csv(path)
         assert np.array_equal(p.y, q.y) and np.array_equal(p.x, q.x)
         assert tuple(map(str, p.unit_labels)) == tuple(map(str, q.unit_labels))
+
+    # Arbitrary bytes, or a soup of CSV-like tokens that reaches the grid
+    # checks more often, after a valid header.
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(body=st.binary() | st.lists(st.sampled_from(
+        [b"0", b"1", b"2", b"-1.5", b"nan", b"inf", b"x", b",", b'"', b"\n", b"\r",
+         b" ", b"\x00", b"\xff", b"\xc3\xa9"])).map(b"".join))
+    def test_arbitrary_body_loads_or_raises_panel_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("fuzz") / "panel.csv"
+        path.write_bytes(b"unit,time,y,x1\n" + body)
+        try:
+            assert isinstance(load_panel_csv(path), PanelData)
+        except PanelDataError:
+            pass

@@ -5,7 +5,6 @@ loadings and factors, the correlated-error recursion against an independent
 replay of the same RNG stream, and the runner against its own invariants.
 """
 
-import io
 import math
 
 import numpy as np
@@ -29,6 +28,7 @@ from scce import (
     monte_carlo_run,
     stream,
 )
+from scce import simulate
 from scce.simulate import _e1_components, _e2_components
 
 from conftest import make_panel
@@ -193,20 +193,37 @@ class TestMonteCarloRun:
         serial = monte_carlo_run([(10, 20)], config, reps=6, seed=9)
         monkeypatch.setenv("SCCE_THREADS", "4")
         threaded = monte_carlo_run([(10, 20)], config, reps=6, seed=9)
-        assert serial.to_json() == threaded.to_json()
+        assert serial.cells == threaded.cells
 
     def test_csv_report_shape(self):
+        # The rows carry the CSV report's columns, in order, one per coefficient.
         report = monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=2, seed=10)
-        buf = io.StringIO()
-        report.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "n,t,dgp,estimator,coef,abs_bias,rmse,reps,skipped"
-        assert len(lines) == 3  # header + one row per coefficient
-        assert lines[1].startswith("10,20,e1,scce,1,")
+        rows = report.to_rows()
+        assert len(rows) == 2
+        for coef, row in enumerate(rows, start=1):
+            assert list(row) == ["n", "t", "dgp", "estimator", "coef",
+                                 "abs_bias", "rmse", "reps", "skipped"]
+            assert [row[k] for k in ("n", "t", "dgp", "estimator", "coef")] == \
+                [10, 20, "e1", "scce", coef]
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ScceError):
             monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=0)
+
+    def test_rejects_sizes_that_collide_in_the_stream_packing(self, monkeypatch):
+        # (seed, cell, rep) packs into one integer; past 2**28 reps or 2**12
+        # cells two replications would share a stream. Fails before any draw.
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(simulate, "replicate", no_replication)
+        with pytest.raises(ScceError, match="stream packing"):
+            monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=2 ** 28 + 1)
+        with pytest.raises(ScceError, match="stream packing"):
+            monte_carlo_run([(10, 20)] * (2 ** 12 + 1), DgpConfig(dgp=Dgp.E1), reps=1)
+        # At the limits the check passes and the first replication is reached.
+        with pytest.raises(AssertionError, match="a replication started"):
+            monte_carlo_run([(10, 20)] * 2 ** 12, DgpConfig(dgp=Dgp.E1), reps=2 ** 28)
 
     def test_invalid_cell_raises_dgp_error_not_skips(self):
         # Only the estimate is guarded: a cell the DGP rejects must not be
