@@ -27,6 +27,7 @@ from .errors import (
 )
 from .estimators import (
     EstimationResult,
+    EstimatorConfig,
     Method,
     annihilate,
     ccemg_estimate,
@@ -70,7 +71,6 @@ from .simulate import (
     Dgp,
     DgpConfig,
     ErrorMode,
-    EstimatorConfig,
     FactorMode,
     McCell,
     McReport,

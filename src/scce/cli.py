@@ -10,9 +10,9 @@ Exit codes: 0 success, 2 data or configuration errors, 3 numerical errors.
 Exit 2 covers unreadable or malformed CSV panels (a missing file, text that
 is not UTF-8, an oversized field, a row whose width differs from the
 header's), bad flags (unknown, malformed or out of range, ``--hac-window``
-outside 0..T-1 among them), a bad ``SCCE_THREADS`` and an ``--output`` that
-cannot be opened, which is checked before any work. Each error is one
-``error:`` line on stderr.
+outside 0..T-1 among them), an ``SCCE_THREADS`` outside 1..256, and an
+``--output`` that cannot be opened or names the ``--input`` file, both
+checked before any work. Each error is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .errors import NumericalError, PanelDataError, ScceError
-from .estimators import Method, estimate_panel
+from .estimators import EstimatorConfig, Method
 from .inference import (
     BootstrapConfig,
     adf_test,
@@ -32,15 +33,8 @@ from .inference import (
     linearity_test,
 )
 from .panel import cross_sectional_average, first_difference, load_panel_csv
-from .sieve import BasisFamily, BasisKind, KnotRate, build_sieve_matrix, knot_count
-from .simulate import (
-    Dgp,
-    DgpConfig,
-    ErrorMode,
-    EstimatorConfig,
-    FactorMode,
-    monte_carlo_run,
-)
+from .sieve import BasisFamily, BasisKind, KnotRate
+from .simulate import Dgp, DgpConfig, ErrorMode, FactorMode, monte_carlo_run
 
 SCHEMA_VERSION = 1
 
@@ -49,10 +43,11 @@ EXIT_DATA_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 
-def _family(name: str) -> BasisFamily:
-    kind = {"cubic": BasisKind.CUBIC_SPLINE, "hermite": BasisKind.HERMITE,
-            "power": BasisKind.POWER_SERIES}[name]
-    return BasisFamily(kind=kind)
+_FAMILIES = {"cubic": BasisKind.CUBIC_SPLINE, "hermite": BasisKind.HERMITE,
+             "power": BasisKind.POWER_SERIES}
+# How each estimator flag's value becomes its EstimatorConfig field.
+_ESTIMATOR_FLAGS = {"method": Method, "family": lambda name: BasisFamily(_FAMILIES[name]),
+                    "knot_c": int, "knot_rate": KnotRate}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,13 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scce", description="Sieve-augmented CCE estimation for panel data")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    default = EstimatorConfig()
+    default_family = next(n for n, k in _FAMILIES.items() if k == default.family.kind)
+
     def add_basis_flags(p):
-        p.add_argument("--knot-c", type=int, default=None,
-                       help="knot multiplier C in J = C*floor(T**(1/r)) (default 1)")
+        p.add_argument("--knot-c", type=int, default=None, help="knot multiplier C in "
+                       f"J = C*floor(T**(1/r)) (default {default.knot_c})")
         p.add_argument("--knot-rate", choices=[r.value for r in KnotRate], default=None,
-                       help="root r of T in the knot rule (default quarter)")
-        p.add_argument("--family", choices=["cubic", "hermite", "power"], default=None,
-                       help="sieve basis family (default cubic)")
+                       help=f"root r of T in the knot rule (default {default.knot_rate.value})")
+        p.add_argument("--family", choices=list(_FAMILIES), default=None,
+                       help=f"sieve basis family (default {default_family})")
 
     def add_output_flags(p, default_format):
         p.add_argument("--output", default=None, help="write report here (default stdout)")
@@ -78,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate coefficients from a CSV panel")
     est.add_argument("--input", required=True)
-    est.add_argument("--method", choices=[m.value for m in Method], default="scce")
+    est.add_argument("--method", choices=[m.value for m in Method])
     add_basis_flags(est)
     est.add_argument("--diff", action="store_true", help="first-difference the panel")
     est.add_argument("--hac-window", type=int, default=None)
@@ -96,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t", type=int, action="append", required=True)
     sim.add_argument("--reps", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--method", choices=[m.value for m in Method], default="scce")
+    sim.add_argument("--method", choices=[m.value for m in Method])
     add_basis_flags(sim)
     sim.add_argument("--factor-mode", choices=[m.value for m in FactorMode],
                      default="stationary")
@@ -114,17 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_basis(args):
-    """Fill basis defaults; warn when knot flags are set on a linear method."""
-    method = Method(getattr(args, "method", Method.SCCE))
-    if method != Method.SCCE and any(v is not None for v in
-                                     (args.knot_c, args.knot_rate, args.family)):
-        print(f"warning: --method {method.value} ignores knot/basis flags",
+def _estimator(args) -> EstimatorConfig:
+    """The estimator of the flags given, EstimatorConfig's defaults for the
+    rest; warn when sieve flags are given to a linear method."""
+    given = {name: parse(value) for name, parse in _ESTIMATOR_FLAGS.items()
+             if (value := getattr(args, name, None)) is not None}
+    config = EstimatorConfig(**given)
+    if config.method != Method.SCCE and given.keys() - {"method"}:
+        print(f"warning: --method {config.method.value} ignores knot/basis flags",
               file=sys.stderr)
-    knot_c = args.knot_c if args.knot_c is not None else 1
-    knot_rate = KnotRate(args.knot_rate) if args.knot_rate is not None else KnotRate.QUARTER
-    family = _family(args.family) if args.family else BasisFamily()
-    return method, family, knot_c, knot_rate
+    return config
 
 
 def _load(args):
@@ -148,17 +145,16 @@ def _emit(out, args, payload: dict, header: list, rows: list) -> None:
 
 
 def _cmd_estimate(args, out) -> int:
-    method, family, knot_c, knot_rate = _resolve_basis(args)
+    config = _estimator(args)
     panel = _load(args)
 
-    result = estimate_panel(panel, method, family, knot_c, knot_rate)
+    result = config.estimate(panel)
     cov = hac_covariance(result, args.hac_window)
 
     boot = None
     if args.bootstrap is not None:
         boot = bootstrap_ci(panel, BootstrapConfig(
-            method=method, family=family, knot_c=knot_c, knot_rate=knot_rate,
-            n_draws=args.bootstrap, level=args.level, seed=args.seed))
+            **vars(config), n_draws=args.bootstrap, level=args.level, seed=args.seed))
 
     adf_rows = []
     if not args.no_adf:
@@ -185,7 +181,7 @@ def _cmd_estimate(args, out) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
-        "method": method.value,
+        "method": config.method.value,
         "n_units": panel.n_units,
         "n_periods": panel.n_periods,
         "differenced": bool(args.diff),
@@ -203,16 +199,14 @@ def _cmd_estimate(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    method, family, knot_c, knot_rate = _resolve_basis(args)
+    config = _estimator(args)
     if len(args.n) != len(args.t):
         raise PanelDataError("--n and --t must be given the same number of times")
     grid = list(zip(args.n, args.t))
     dgp_cfg = DgpConfig(dgp=Dgp(args.dgp), n=grid[0][0], t=grid[0][1],
                         factor_mode=FactorMode(args.factor_mode),
                         error_mode=ErrorMode(pi=args.error_pi))
-    est_cfg = EstimatorConfig(method=method, family=family,
-                              knot_c=knot_c, knot_rate=knot_rate)
-    report = monte_carlo_run(grid, dgp_cfg, est_cfg, reps=args.reps, seed=args.seed)
+    report = monte_carlo_run(grid, dgp_cfg, config, reps=args.reps, seed=args.seed)
     rows = report.to_rows()
     _emit(out, args, {"schema_version": SCHEMA_VERSION, "rows": rows},
           ["n", "t", "dgp", "estimator", "coef", "abs_bias", "rmse", "reps", "skipped"], rows)
@@ -220,12 +214,9 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_test_linearity(args, out) -> int:
-    _, family, knot_c, knot_rate = _resolve_basis(args)
+    config = _estimator(args)
     panel = _load(args)
-    proxy = cross_sectional_average(panel)
-    j = knot_count(panel.n_periods, knot_c, knot_rate)
-    basis = build_sieve_matrix(proxy, family, j)
-    res = linearity_test(panel, basis, args.hac_window)
+    res = linearity_test(panel, config.basis(panel), args.hac_window)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "test-linearity",
@@ -245,6 +236,10 @@ def main(argv=None) -> int:
                 "test-linearity": _cmd_test_linearity}
     try:
         args = build_parser().parse_args(argv)
+        if args.output and getattr(args, "input", None):
+            with contextlib.suppress(OSError):  # a path that does not exist names no file
+                if os.path.samefile(args.output, args.input):
+                    raise ScceError(f"{args.output}: --output names the --input file")
         try:
             target = (open(args.output, "w", encoding="utf-8") if args.output
                       else contextlib.nullcontext(sys.stdout))

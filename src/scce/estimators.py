@@ -18,7 +18,7 @@ from .errors import ScceError, SingularDesign, SingularUnit, TooSmall
 from .panel import PanelData, cross_sectional_average
 from .sieve import BasisFamily, KnotRate, SieveBasis, build_sieve_matrix, knot_count
 
-__all__ = ["Method", "EstimationResult", "annihilate", "scce_estimate",
+__all__ = ["Method", "EstimationResult", "EstimatorConfig", "annihilate", "scce_estimate",
            "ccep_estimate", "ccemg_estimate", "estimate_panel"]
 
 # Relative eigenvalue gate for pooled and per-unit Gram matrices.
@@ -173,9 +173,29 @@ def ccemg_estimate(p: PanelData) -> EstimationResult:
     return _estimate(p, _linear_proxy_columns(p), Method.CCEMG)
 
 
-def estimate_panel(p: PanelData, method: Method = Method.SCCE,
-                   family: BasisFamily = BasisFamily(), knot_c: int = 1,
-                   knot_rate: KnotRate = KnotRate.QUARTER) -> EstimationResult:
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """The method and, for SCCE, the sieve: a family and J = knot_c * floor(T**(1/r)) knots."""
+
+    method: Method = Method.SCCE
+    family: BasisFamily = BasisFamily()
+    knot_c: int = 1
+    knot_rate: KnotRate = KnotRate.QUARTER
+
+    def basis(self, p: PanelData) -> SieveBasis:
+        """The sieve basis of the panel's own cross-sectional averages."""
+        j = knot_count(p.n_periods, self.knot_c, self.knot_rate)
+        return build_sieve_matrix(cross_sectional_average(p), self.family, j)
+
+    def estimate(self, p: PanelData) -> EstimationResult:
+        """``estimate_panel`` with these settings."""
+        return estimate_panel(p, self.method, self.family, self.knot_c, self.knot_rate)
+
+
+def estimate_panel(p: PanelData, method: Method = EstimatorConfig.method,
+                   family: BasisFamily = EstimatorConfig.family,
+                   knot_c: int = EstimatorConfig.knot_c,
+                   knot_rate: KnotRate = EstimatorConfig.knot_rate) -> EstimationResult:
     """Run the configured estimator end to end on a panel.
 
     For the sieve estimator this rebuilds the factor proxy, knots, and basis
@@ -186,6 +206,4 @@ def estimate_panel(p: PanelData, method: Method = Method.SCCE,
         return ccep_estimate(p)
     if method == Method.CCEMG:
         return ccemg_estimate(p)
-    j = knot_count(p.n_periods, knot_c, knot_rate)
-    basis = build_sieve_matrix(cross_sectional_average(p), family, j)
-    return scce_estimate(p, basis)
+    return scce_estimate(p, EstimatorConfig(method, family, knot_c, knot_rate).basis(p))

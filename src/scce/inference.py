@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .errors import (
     DegenerateSeries,
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .estimators import (
     EstimationResult,
+    EstimatorConfig,
     Method,
     _gate,
     _linear_proxy_columns,
@@ -31,7 +32,7 @@ from .estimators import (
     estimate_panel,
 )
 from .panel import PanelData
-from .sieve import TAG_NONLINEAR, BasisFamily, KnotRate, SieveBasis
+from .sieve import TAG_NONLINEAR, SieveBasis
 from .simulate import replicate, stream
 
 __all__ = ["CovarianceEstimate", "BootstrapResult", "TestResult", "BootstrapConfig",
@@ -147,11 +148,7 @@ def hac_covariance(result: EstimationResult, window: int | None = None) -> Covar
 
 
 @dataclass(frozen=True)
-class BootstrapConfig:
-    method: Method = Method.SCCE
-    family: BasisFamily = BasisFamily()
-    knot_c: int = 1
-    knot_rate: KnotRate = KnotRate.QUARTER
+class BootstrapConfig(EstimatorConfig):
     n_draws: int = 399
     level: float = 0.95
     seed: int = 0
@@ -181,8 +178,7 @@ def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> B
     n = p.n_units
     kept, skipped = replicate(
         lambda b: _resample(p, stream(config.seed, b).integers(0, n, size=n)),
-        lambda q: estimate_panel(q, config.method, config.family,
-                                 config.knot_c, config.knot_rate).beta,
+        lambda q: config.estimate(q).beta,
         config.n_draws, config.max_workers)
     draws = np.array(kept)
     alpha = (1.0 - config.level) / 2.0
@@ -250,7 +246,7 @@ def linearity_test(p: PanelData, basis: SieveBasis,
     statistic = float(np.einsum("iq,qr,ir->", scores, cov_pinv, scores)) / t
     statistic = max(statistic, 0.0)
     dof = (n - 1) * q_rank
-    p_value = float(stats.chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return TestResult(
         statistic=statistic,
         dof=dof,

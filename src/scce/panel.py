@@ -107,19 +107,17 @@ def validate_panel(records) -> PanelData:
     """Build a PanelData from long-format records ``(unit, time, y, x1, ..., xd)``.
 
     Every (unit, time) pair must appear exactly once and the unit x time grid
-    must be complete. Rows may arrive in any order; units are stored in
+    must be complete. Rows may arrive in any order, and are read once, so the
+    first fault in input order is the one reported; units are stored in
     ascending label order and periods in ascending time order.
     """
-    records = list(records)
-    if not records:
-        raise PanelDataError("no records supplied")
-    width = len(records[0])
-    if width < 4:
-        raise PanelDataError("records need at least (unit, time, y, x1)")
-    d = width - 3
-
     cells: dict[tuple, tuple] = {}
+    width = None
     for rec in records:
+        if width is None:
+            width = len(rec)
+            if width < 4:
+                raise PanelDataError("records need at least (unit, time, y, x1)")
         if len(rec) != width:
             raise PanelDataError(f"inconsistent record width: expected {width}, got {len(rec)}")
         unit, time = rec[0], rec[1]
@@ -132,6 +130,8 @@ def validate_panel(records) -> PanelData:
             raise DuplicateCell(unit, time)
         cells[key] = vals
 
+    if width is None:
+        raise PanelDataError("no records supplied")
     units = sorted({u for u, _ in cells})
     times = sorted({t for _, t in cells})
     n, t_len = len(units), len(times)
@@ -139,11 +139,14 @@ def validate_panel(records) -> PanelData:
         raise TooSmall(f"need N >= 2 and T >= 2; got N={n}, T={t_len}")
 
     try:
-        grid = np.array([cells[u, tm] for u in units for tm in times]).reshape(n, t_len, d + 1)
+        rows = [cells[u, tm] for u in units for tm in times]
     except KeyError as exc:
         raise UnbalancedPanel(*exc.args[0]) from None
-    return PanelData(y=grid[:, :, 0], x=grid[:, :, 1:],
-                     unit_labels=tuple(units), time_labels=tuple(times))
+    # Fill y and x directly: no (N, T, d + 1) grid alive beside both.
+    y = np.fromiter((r[0] for r in rows), np.float64, n * t_len).reshape(n, t_len)
+    x = np.fromiter((v for r in rows for v in r[1:]), np.float64, n * t_len * (width - 3))
+    return PanelData(y=y, x=x.reshape(n, t_len, -1), unit_labels=tuple(units),
+                     time_labels=tuple(times))
 
 
 def load_panel_csv(path) -> PanelData:
@@ -161,23 +164,22 @@ def load_panel_csv(path) -> PanelData:
             header = [h.strip().lower() for h in header]
             if header[:3] != ["unit", "time", "y"]:
                 raise PanelDataError(f"{path}: header must start with 'unit,time,y', got {header[:3]}")
-            records = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise PanelDataError(f"{path}: line {reader.line_num} has {len(row)} "
-                                         f"field(s); the header has {len(header)}")
-                try:
-                    time = int(row[1])
-                except ValueError:
-                    raise PanelDataError(f"{path}: time label {row[1]!r} is not an integer") from None
-                records.append((row[0].strip(), time, *row[2:]))
+            return validate_panel(_record(path, reader.line_num, row, len(header))
+                                  for row in reader if row)
         except UnicodeDecodeError as exc:
             raise PanelDataError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise PanelDataError(f"{path}: line {reader.line_num}: {exc}") from None
-    return validate_panel(records)
+
+
+def _record(path, line: int, row: list, width: int) -> tuple:
+    """CSV row ``line`` as a record ``(unit, time, y, x1, ...)``."""
+    if len(row) != width:
+        raise PanelDataError(f"{path}: line {line} has {len(row)} field(s); the header has {width}")
+    try:
+        return (row[0].strip(), int(row[1]), *row[2:])
+    except ValueError:
+        raise PanelDataError(f"{path}: time label {row[1]!r} is not an integer") from None
 
 
 def first_difference(p: PanelData) -> PanelData:

@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScceError, TooManySkipped
-from .estimators import Method, estimate_panel
+from .estimators import EstimatorConfig, Method
 from .panel import PanelData
-from .sieve import BasisFamily, KnotRate
 
 __all__ = ["Dgp", "FactorMode", "ErrorMode", "DgpConfig", "SimulatedPanel",
            "EstimatorConfig", "McCell", "McReport", "stream",
@@ -32,6 +31,8 @@ __all__ = ["Dgp", "FactorMode", "ErrorMode", "DgpConfig", "SimulatedPanel",
 
 _RW_INCREMENT_SD = math.sqrt(0.05)
 _SKIP_TOLERANCE = 0.01
+# Ceiling on replication threads: the pool may start one per replication.
+_MAX_WORKERS = 256
 
 
 class Dgp(str, enum.Enum):
@@ -106,7 +107,8 @@ def replicate(draw, estimate, count: int, workers: int | None = None) -> tuple[l
     """``estimate(draw(i))`` for i = 0..count-1 in order, minus the skipped
     ones, and the skip count. ScceError from ``estimate`` skips a replication
     (over 1% raise TooManySkipped); errors from ``draw`` propagate. Runs on
-    ``workers`` threads, by default SCCE_THREADS, else one."""
+    ``workers`` threads, by default SCCE_THREADS, else one; either must lie in
+    1.._MAX_WORKERS."""
     def one(i: int):
         sample = draw(i)
         try:
@@ -114,14 +116,16 @@ def replicate(draw, estimate, count: int, workers: int | None = None) -> tuple[l
         except ScceError:
             return None
 
+    source, value = "max_workers", workers
     if workers is None:
-        env = os.environ.get("SCCE_THREADS") or "1"
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ScceError(f"SCCE_THREADS must be a positive integer, got {env!r}")
+        source, value = "SCCE_THREADS", os.environ.get("SCCE_THREADS") or "1"
+    try:
+        workers = int(value)
+    except (TypeError, ValueError):
+        workers = 0
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ScceError(f"{source} must be a positive integer, got {value!r}; "
+                        f"the ceiling is {_MAX_WORKERS} threads")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(count)))
@@ -255,14 +259,6 @@ def generate_e2(config: DgpConfig) -> SimulatedPanel:
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    method: Method = Method.SCCE
-    family: BasisFamily = BasisFamily()
-    knot_c: int = 1
-    knot_rate: KnotRate = KnotRate.QUARTER
-
-
-@dataclass(frozen=True)
 class McCell:
     """Per-cell summary; abs_bias is the magnitude of the mean estimation
     error (the quantity tabulated alongside RMSE in replication studies)."""
@@ -286,17 +282,10 @@ class McReport:
     seed: int
 
     def to_rows(self) -> list[dict]:
-        rows = []
-        for cell in self.cells:
-            for k in range(len(cell.abs_bias)):
-                rows.append({
-                    "n": cell.n, "t": cell.t,
-                    "dgp": self.dgp.value, "estimator": self.method.value,
-                    "coef": k + 1,
-                    "abs_bias": cell.abs_bias[k], "rmse": cell.rmse[k],
-                    "reps": cell.reps, "skipped": cell.skipped,
-                })
-        return rows
+        return [{"n": cell.n, "t": cell.t, "dgp": self.dgp.value, "estimator": self.method.value,
+                 "coef": k + 1, "abs_bias": cell.abs_bias[k], "rmse": cell.rmse[k],
+                 "reps": cell.reps, "skipped": cell.skipped}
+                for cell in self.cells for k in range(len(cell.abs_bias))]
 
 
 def monte_carlo_run(grid, dgp_config: DgpConfig,
@@ -316,8 +305,7 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
         raise ScceError("at most 2**28 replications and 2**12 grid cells fit the stream packing")
 
     def estimate(sim: SimulatedPanel) -> np.ndarray:
-        return estimate_panel(sim.panel, estimator.method, estimator.family,
-                              estimator.knot_c, estimator.knot_rate).beta - sim.beta
+        return estimator.estimate(sim.panel).beta - sim.beta
 
     cells = []
     for cell_idx, (n, t) in enumerate(grid):

@@ -1,11 +1,16 @@
 """End-to-end command-line tests driven through ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scce import Dgp, DgpConfig, generate_panel
+import scce
+from scce import Dgp, DgpConfig, generate_panel, simulate
 from scce.cli import EXIT_DATA_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK, main
 
 
@@ -132,18 +137,31 @@ CONFIG_ERRORS = [
     (["estimate", "--input", "{long_field}"], {}, "{long_field}: line 2: field larger than"),
     (["estimate", "--input", "{narrow_row}"], {},
      "{narrow_row}: line 2 has 4 field(s); the header has 5"),
+    (["estimate", "--input", "{csv}", "--bootstrap", "5"], {"SCCE_THREADS": "1000000"},
+     "SCCE_THREADS must be a positive integer, got '1000000'; the ceiling is 256 threads"),
+    (["estimate", "--input", "{csv}", "--output", "{csv}"], {},
+     "{csv}: --output names the --input file"),
+    (["test-linearity", "--input", "{csv}", "--output", "{link}"], {},
+     "{link}: --output names the --input file"),
 ]
 
 
 @pytest.mark.parametrize("argv, env, message", CONFIG_ERRORS)
 def test_bad_input_exits_2_with_one_line(argv, env, message, panel_csv, tmp_path,
                                          monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    monkeypatch.delenv("SCCE_THREADS", raising=False)
+    panel_bytes = Path(panel_csv).read_bytes()
     files = {"short_row": b"unit,time,y,x1\n1\n",
              "bad_utf8": b"unit,time,y,x1\n0,0,\xff,1\n",
              "long_field": b"unit,time,y,x1\n0,0," + b"1" * (128 * 1024 + 1) + b",1\n",
              "narrow_row": b"unit,time,y,x1,x2\n0,0,1.0,2.0\n"}
     paths = {"csv": panel_csv, "missing": str(tmp_path / "absent.csv"),
-             "nodir": str(tmp_path / "nodir" / "out.json")}
+             "nodir": str(tmp_path / "nodir" / "out.json"), "link": str(tmp_path / "link.csv")}
+    os.symlink(panel_csv, paths["link"])
     for name, content in files.items():
         (tmp_path / f"{name}.csv").write_bytes(content)
         paths[name] = str(tmp_path / f"{name}.csv")
@@ -154,6 +172,16 @@ def test_bad_input_exits_2_with_one_line(argv, env, message, panel_csv, tmp_path
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message.format(**paths) in err
+    assert Path(panel_csv).read_bytes() == panel_bytes
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes longer to import than the rest of the package.
+    src = os.path.dirname(os.path.dirname(scce.__file__))
+    code = "import sys, scce, scce.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 class TestSimulate:

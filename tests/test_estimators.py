@@ -10,8 +10,11 @@ import pytest
 
 from scce import (
     BasisFamily,
+    BasisKind,
     Dgp,
     DgpConfig,
+    EstimatorConfig,
+    KnotRate,
     Method,
     SieveBasis,
     SingularDesign,
@@ -205,6 +208,28 @@ class TestEstimatePanelDispatch:
     def test_accepts_method_strings(self, random_panel):
         p = random_panel(n=5, t=25, seed=18)
         assert estimate_panel(p, "ccep").method == Method.CCEP
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_config_estimate_is_estimate_panel_bit_for_bit(self, method):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=8, t=40, seed=21)).panel
+        family, knot_c, rate = BasisFamily(BasisKind.HERMITE), 2, KnotRate.THIRD
+        got = EstimatorConfig(method, family, knot_c, rate).estimate(p)
+        want = estimate_panel(p, method, family, knot_c, rate)
+        for name in ("beta", "eps_hat", "v_hat"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("kind", [BasisKind.CUBIC_SPLINE, BasisKind.POWER_SERIES])
+    def test_config_basis_is_the_proxy_knots_sieve_chain(self, kind):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=8, t=40, seed=22)).panel
+        family = BasisFamily(kind)
+        got = EstimatorConfig(family=family, knot_c=2, knot_rate=KnotRate.THIRD).basis(p)
+        want = build_sieve_matrix(cross_sectional_average(p), family,
+                                  knot_count(p.n_periods, 2, KnotRate.THIRD))
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.column_tags == want.column_tags
+        assert got.j_requested == want.j_requested == 6
+        assert len(got.knots) == len(want.knots) == 3
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.knots, want.knots))
 
 
 class TestInvariants:

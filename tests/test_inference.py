@@ -4,6 +4,8 @@ Hand-arithmetic cases are computed in the comments; larger cases are checked
 against naive double-loop oracles implemented inline.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from scce import (
     BootstrapConfig,
     DegenerateSeries,
     EstimationResult,
+    EstimatorConfig,
+    KnotRate,
     Method,
     NoNonlinearColumns,
     SeriesTooShort,
     SieveBasis,
+    ScceError,
     SingularSigmaV,
     TooManySkipped,
     WindowTooLarge,
@@ -31,6 +36,7 @@ from scce import (
     sandwich_covariance,
     sigma_v_hat,
 )
+from scce import simulate
 from scce.sieve import TAG_NONLINEAR
 
 from conftest import make_panel
@@ -219,6 +225,29 @@ class TestBootstrapCi:
             result = bootstrap_ci(p, BootstrapConfig(method=method, n_draws=9, seed=2))
             assert result.draws.shape == (9, 2)
             assert result.skipped == 0
+
+    def test_rejects_worker_counts_out_of_range(self, random_panel, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started")
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        p = random_panel(n=8, t=30, seed=14)
+        for workers in (0, -3, 257):
+            with pytest.raises(ScceError, match=f"max_workers must be a positive "
+                                                f"integer, got {workers}; the ceiling is 256"):
+                bootstrap_ci(p, BootstrapConfig(n_draws=9, max_workers=workers))
+
+
+class TestBootstrapConfig:
+    def test_is_an_estimator_config_with_its_fields_first(self):
+        assert issubclass(BootstrapConfig, EstimatorConfig)
+        names = [f.name for f in dataclasses.fields(BootstrapConfig)]
+        assert names == ["method", "family", "knot_c", "knot_rate",
+                         "n_draws", "level", "seed", "max_workers"]
+        config = BootstrapConfig(Method.CCEP, BasisFamily(), 2, KnotRate.THIRD, 9)
+        assert (config.method, config.knot_c, config.knot_rate) == \
+            (Method.CCEP, 2, KnotRate.THIRD)
+        assert config.n_draws == 9
 
 
 def basis_for(p):

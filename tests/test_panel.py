@@ -167,6 +167,18 @@ class TestCsvRoundTrip:
         assert np.array_equal(p.y, q.y) and np.array_equal(p.x, q.x)
         assert tuple(map(str, p.unit_labels)) == tuple(map(str, q.unit_labels))
 
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # Rows stream into validate_panel, so the duplicate on line 3 is met
+        # before the bad time label on line 5.
+        path = tmp_path / "panel.csv"
+        path.write_text("unit,time,y,x1\n"
+                        "a,0,1.0,2.0\n"
+                        "a,0,1.5,2.5\n"
+                        "a,1,1.0,2.0\n"
+                        "b,x,1.0,2.0\n")
+        with pytest.raises(DuplicateCell, match="unit='a', time=0"):
+            load_panel_csv(path)
+
     # Arbitrary bytes, or a soup of CSV-like tokens that reaches the grid
     # checks more often, after a valid header.
     @settings(derandomize=True, database=None, deadline=None)
