@@ -5,6 +5,11 @@ shared annihilator and solves the pooled normal equations; the CCEP and CCEMG
 baselines do the same with the linear proxy [1, F_hat]. The production path
 never materialises the T x T projection matrix: residuals are computed as
 X - U (U' X) from an orthonormal basis U of the projection columns.
+
+The panel's regressors are projected in a time-last (N, d, T) layout, so
+that the summed time axis is contiguous. The einsum then runs its fast
+contiguous loop while accumulating in the same order as over the (N, T, d)
+storage, so every result keeps its bits at d >= 2.
 """
 
 from __future__ import annotations
@@ -99,8 +104,14 @@ def _project_panel(p: PanelData, proj_columns: np.ndarray):
         return p.y.copy(), p.x.copy(), 0
     # Apply I - U U' along the time axis; memory stays O(NTd + Tr).
     my = p.y - (p.y @ u) @ u.T
-    mx = p.x - np.einsum("tr,irk->itk", u, np.einsum("tr,itk->irk", u, p.x))
-    return my, mx, rank
+    # Time-last (N, d, T): each einsum sums over a contiguous axis, 5-10x
+    # faster than over the strided time axis of (N, T, d), in the same order,
+    # so the bits hold at d >= 2 (d = 1 moves in the last bit). The contiguous
+    # u' and the C-ordered result are part of that: their views change bits.
+    # .copy(), since at d = 1 ascontiguousarray would return read-only p.x.
+    xt = p.x.transpose(0, 2, 1).copy()
+    xt -= np.einsum("rt,ikr->ikt", np.ascontiguousarray(u.T), np.einsum("tr,ikt->ikr", u, xt))
+    return my, np.ascontiguousarray(xt.transpose(0, 2, 1)), rank
 
 
 def _gate(gram: np.ndarray) -> int | None:
@@ -114,10 +125,12 @@ def _gate(gram: np.ndarray) -> int | None:
 def _estimate(p: PanelData, proj_columns: np.ndarray, method: Method) -> EstimationResult:
     """Annihilate ``proj_columns`` from every unit's y and X, then solve the
     normal equations: pooled, or per unit and averaged for CCEMG."""
+    d = p.n_regressors
+    if method == Method.CCEP and p.n_periods < 2 * d + 3:
+        raise TooSmall(f"CCEP needs T >= {2 * d + 3}, got T={p.n_periods}")
     my, mx, rank = _project_panel(p, proj_columns)
     per_unit = None
     if method == Method.CCEMG:
-        d = p.n_regressors
         if p.n_periods - rank <= d:
             raise TooSmall(f"CCEMG needs T - rank(proxy) > d; got T={p.n_periods}, "
                            f"rank={rank}, d={d}")
@@ -162,9 +175,6 @@ def _linear_proxy_columns(p: PanelData) -> np.ndarray:
 
 def ccep_estimate(p: PanelData) -> EstimationResult:
     """Pooled CCE: projection columns are an intercept plus the averages."""
-    d = p.n_regressors
-    if p.n_periods < 2 * d + 3:
-        raise TooSmall(f"CCEP needs T >= {2 * d + 3}, got T={p.n_periods}")
     return _estimate(p, _linear_proxy_columns(p), Method.CCEP)
 
 
@@ -175,12 +185,25 @@ def ccemg_estimate(p: PanelData) -> EstimationResult:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """The method and, for SCCE, the sieve: a family and J = knot_c * floor(T**(1/r)) knots."""
+    """The method and, for SCCE, the sieve: a family and J = knot_c * floor(T**(1/r)) knots.
+
+    ``method`` and ``knot_rate`` may be given as their string values; an
+    unknown value or a ``knot_c`` below 1 raises ScceError here, not later.
+    """
 
     method: Method = Method.SCCE
     family: BasisFamily = BasisFamily()
     knot_c: int = 1
     knot_rate: KnotRate = KnotRate.QUARTER
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "method", Method(self.method))
+            object.__setattr__(self, "knot_rate", KnotRate(self.knot_rate))
+        except ValueError as exc:
+            raise ScceError(str(exc)) from None
+        if self.knot_c < 1:
+            raise ScceError("knot multiplier must be a positive integer")
 
     def basis(self, p: PanelData) -> SieveBasis:
         """The sieve basis of the panel's own cross-sectional averages."""

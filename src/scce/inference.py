@@ -26,10 +26,10 @@ from .estimators import (
     EstimationResult,
     EstimatorConfig,
     Method,
+    _estimate,
     _gate,
     _linear_proxy_columns,
     annihilate,
-    estimate_panel,
 )
 from .panel import PanelData
 from .sieve import TAG_NONLINEAR, SieveBasis
@@ -155,6 +155,7 @@ class BootstrapConfig(EstimatorConfig):
     max_workers: int | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_draws < 2:
             raise ScceError("bootstrap needs at least 2 draws")
         if not 0.0 < self.level < 1.0:
@@ -220,8 +221,9 @@ def linearity_test(p: PanelData, basis: SieveBasis,
         window = 2 * default_hac_window(t)
     _check_window(window, t)
 
-    resid = estimate_panel(p, Method.CCEP).eps_hat  # N x T, orthogonal to [1, F_hat]
-    q_cols, proxy_rank = annihilate(_linear_proxy_columns(p), nonlinear)
+    linear = _linear_proxy_columns(p)  # [1, F_hat]
+    resid = _estimate(p, linear, Method.CCEP).eps_hat  # N x T, orthogonal to [1, F_hat]
+    q_cols, proxy_rank = annihilate(linear, nonlinear)
     q_rank = int(np.linalg.matrix_rank(q_cols))
     if np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(p.y)):
         # Exact fit: the quadratic form below is scale-invariant, so rounding

@@ -31,7 +31,7 @@ class PanelData:
 
     ``y`` is N x T and ``x`` is N x T x d, both stored read-only. Unit labels
     are unique; time labels are strictly increasing and only their order
-    matters (differencing assumes unit spacing).
+    matters, except that differencing requires integer labels to be consecutive.
     """
 
     y: np.ndarray
@@ -186,10 +186,15 @@ def first_difference(p: PanelData) -> PanelData:
     """First-difference y and every regressor column per unit.
 
     Returns a panel with T-1 periods; time labels are shifted to periods
-    2..T of the source.
+    2..T of the source. Integer time labels must be consecutive, so that no
+    difference spans a missing period; other labels are taken as consecutive.
     """
     if p.n_periods < 3:
         raise TooSmall(f"first differencing needs T >= 3, got T={p.n_periods}")
+    for a, b in zip(p.time_labels, p.time_labels[1:]):
+        if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)) and b - a != 1:
+            raise PanelDataError(f"time labels skip from {a} to {b}; first differencing "
+                                 "needs consecutive periods")
     return PanelData(
         y=np.diff(p.y, axis=1),
         x=np.diff(p.x, axis=1),

@@ -143,6 +143,8 @@ CONFIG_ERRORS = [
      "{csv}: --output names the --input file"),
     (["test-linearity", "--input", "{csv}", "--output", "{link}"], {},
      "{link}: --output names the --input file"),
+    (["estimate", "--input", "{time_gap}", "--diff"], {},
+     "time labels skip from 2001 to 2003; first differencing needs consecutive periods"),
 ]
 
 
@@ -158,7 +160,9 @@ def test_bad_input_exits_2_with_one_line(argv, env, message, panel_csv, tmp_path
     files = {"short_row": b"unit,time,y,x1\n1\n",
              "bad_utf8": b"unit,time,y,x1\n0,0,\xff,1\n",
              "long_field": b"unit,time,y,x1\n0,0," + b"1" * (128 * 1024 + 1) + b",1\n",
-             "narrow_row": b"unit,time,y,x1,x2\n0,0,1.0,2.0\n"}
+             "narrow_row": b"unit,time,y,x1,x2\n0,0,1.0,2.0\n",
+             "time_gap": b"unit,time,y,x1\n" + b"".join(
+                 b"%d,%d,%d,1\n" % (u, t, u + t) for u in (0, 1) for t in (2001, 2003, 2004, 2005))}
     paths = {"csv": panel_csv, "missing": str(tmp_path / "absent.csv"),
              "nodir": str(tmp_path / "nodir" / "out.json"), "link": str(tmp_path / "link.csv")}
     os.symlink(panel_csv, paths["link"])

@@ -16,6 +16,7 @@ from scce import (
     EstimatorConfig,
     KnotRate,
     Method,
+    ScceError,
     SieveBasis,
     SingularDesign,
     SingularUnit,
@@ -29,6 +30,7 @@ from scce import (
     knot_count,
     scce_estimate,
 )
+from scce.estimators import _orthonormal_span, _project_panel
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR
 
 from conftest import dense_annihilator, make_panel
@@ -230,6 +232,51 @@ class TestEstimatePanelDispatch:
         assert got.j_requested == want.j_requested == 6
         assert len(got.knots) == len(want.knots) == 3
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.knots, want.knots))
+
+
+class TestEstimatorConfig:
+    def test_string_settings_become_enums(self):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=8, t=40, seed=23)).panel
+        config = EstimatorConfig(method="ccep", knot_rate="third")
+        assert config.method is Method.CCEP and config.knot_rate is KnotRate.THIRD
+        got = EstimatorConfig(knot_rate="third").estimate(p)
+        want = EstimatorConfig(knot_rate=KnotRate.THIRD).estimate(p)
+        assert got.beta.tobytes() == want.beta.tobytes()
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"knot_c": 0}, "knot multiplier must be a positive integer"),
+        ({"method": Method.CCEP, "knot_c": -1}, "knot multiplier must be a positive integer"),
+        ({"method": "ols"}, "'ols' is not a valid Method"),
+        ({"knot_rate": "half"}, "'half' is not a valid KnotRate"),
+    ])
+    def test_bad_settings_fail_at_construction(self, settings, message):
+        with pytest.raises(ScceError, match=message):
+            EstimatorConfig(**settings)
+
+
+def _former_projection(u, x):
+    """The (N, T, d) einsum projection that _project_panel replaced."""
+    return x - np.einsum("tr,irk->itk", u, np.einsum("tr,itk->irk", u, x))
+
+
+class TestProjectPanel:
+    def test_time_last_layout_keeps_the_bits_at_two_regressors(self):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=30, t=60, seed=24)).panel
+        cols = EstimatorConfig().basis(p).matrix
+        my, mx, rank = _project_panel(p, cols)
+        u, want_rank = _orthonormal_span(cols)
+        assert rank == want_rank
+        assert mx.tobytes() == _former_projection(u, p.x).tobytes()
+        assert mx.flags.c_contiguous
+        assert my.tobytes() == (p.y - (p.y @ u) @ u.T).tobytes()
+
+    def test_single_regressor_agrees_to_rounding(self, random_panel):
+        p = random_panel(n=20, t=50, d=1, beta=(1.0,), seed=25)
+        cols = EstimatorConfig().basis(p).matrix
+        _, mx, _ = _project_panel(p, cols)
+        u, _ = _orthonormal_span(cols)
+        assert mx.flags.c_contiguous
+        assert np.abs(mx - _former_projection(u, p.x)).max() <= 1e-14
 
 
 class TestInvariants:

@@ -249,6 +249,12 @@ class TestBootstrapConfig:
             (Method.CCEP, 2, KnotRate.THIRD)
         assert config.n_draws == 9
 
+    def test_checks_the_estimator_settings_at_construction(self):
+        # Not TooManySkipped after every draw has failed the knot rule.
+        with pytest.raises(ScceError, match="knot multiplier must be a positive integer"):
+            BootstrapConfig(knot_c=0, n_draws=9)
+        assert BootstrapConfig(method="ccemg", n_draws=9).method is Method.CCEMG
+
 
 def basis_for(p):
     proxy = cross_sectional_average(p)

@@ -113,6 +113,17 @@ class TestFirstDifference:
         with pytest.raises(TooSmall):
             first_difference(make_panel(np.ones((2, 2)), np.ones((2, 2, 1))))
 
+    def test_rejects_a_gap_in_integer_time_labels(self):
+        def panel(labels):
+            return PanelData(y=np.arange(8.0).reshape(2, 4), x=np.ones((2, 4, 1)),
+                             unit_labels=(0, 1), time_labels=labels)
+
+        with pytest.raises(PanelDataError, match="time labels skip from 2001 to 2003"):
+            first_difference(panel((2001, 2003, 2004, 2005)))
+        assert first_difference(panel((2001, 2002, 2003, 2004))).time_labels == (2002, 2003, 2004)
+        # Labels that are not integers are taken as consecutive periods.
+        assert first_difference(panel(("a", "c", "d", "e"))).n_periods == 3
+
 
 class TestCrossSectionalAverage:
     def test_single_unit_is_identity(self):

@@ -195,6 +195,11 @@ class TestMonteCarloRun:
         threaded = monte_carlo_run([(10, 20)], config, reps=6, seed=9)
         assert serial.cells == threaded.cells
 
+    def test_method_given_as_a_string_reports_its_value(self):
+        report = monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1),
+                                 EstimatorConfig(method="ccep"), reps=3, seed=11)
+        assert [row["estimator"] for row in report.to_rows()] == ["ccep", "ccep"]
+
     def test_csv_report_shape(self):
         # The rows carry the CSV report's columns, in order, one per coefficient.
         report = monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=2, seed=10)
