@@ -23,6 +23,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .errors import NumericalError, PanelDataError, ScceError
 from .estimators import EstimatorConfig, Method
 from .inference import (
@@ -55,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise ScceError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value, checked at parse time whether or not a draw uses it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ScceError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scce", description="Sieve-augmented CCE estimation for panel data")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -83,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--bootstrap", type=int, default=None, metavar="B",
                      help="number of pair-bootstrap draws (omit to skip)")
     est.add_argument("--level", type=float, default=0.95)
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--seed", type=_seed, default=0)
     est.add_argument("--no-adf", action="store_true", help="skip the unit-root pretests")
     add_output_flags(est, "json")
 
@@ -93,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cross-section size; repeat with --t for a grid")
     sim.add_argument("--t", type=int, action="append", required=True)
     sim.add_argument("--reps", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--method", choices=[m.value for m in Method])
     add_basis_flags(sim)
     sim.add_argument("--factor-mode", choices=[m.value for m in FactorMode],
@@ -249,6 +262,9 @@ def main(argv=None) -> int:
             return handlers[args.command](args, out)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     except ScceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ The sieve estimator projects the sieve basis out of each unit's data with a
 shared annihilator and solves the pooled normal equations; the CCEP and CCEMG
 baselines do the same with the linear proxy [1, F_hat]. The production path
 never materialises the T x T projection matrix: residuals are computed as
-X - U (U' X) from an orthonormal basis U of the projection columns.
+X - U (U' X) from an orthonormal basis U of the projection columns. The
+bootstrap solves a chunk of resampled panels, given as unit weights, in one
+set of stacked products (``_estimate_reweighted``).
 
 The panel's regressors are projected in a time-last (N, d, T) layout, so
 that the summed time axis is contiguous. The einsum then runs its fast
@@ -21,7 +23,8 @@ import numpy as np
 
 from .errors import ScceError, SingularDesign, SingularUnit, TooSmall
 from .panel import PanelData, cross_sectional_average
-from .sieve import BasisFamily, KnotRate, SieveBasis, build_sieve_matrix, knot_count
+from .sieve import (BasisFamily, BasisKind, KnotRate, SieveBasis, _sieve_stack,
+                    build_sieve_matrix, knot_count)
 
 __all__ = ["Method", "EstimationResult", "EstimatorConfig", "annihilate", "scce_estimate",
            "ccep_estimate", "ccemg_estimate", "estimate_panel"]
@@ -75,9 +78,13 @@ def _orthonormal_span(columns: np.ndarray) -> tuple[np.ndarray, int]:
     if k == 0 or not columns.any():
         return np.zeros((t, 0)), 0
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    tol = max(t, k) * np.finfo(np.float64).eps * s[0]
-    rank = int(np.count_nonzero(s > tol))
+    rank = int(np.count_nonzero(_above_cutoff(s, t, k)))
     return u[:, :rank], rank
+
+
+def _above_cutoff(s: np.ndarray, t: int, k) -> np.ndarray:
+    """Which singular values (..., r) of T x K blocks exceed max(T, K) * eps * s_0."""
+    return s > np.maximum(t, k) * np.finfo(np.float64).eps * s[..., :1]
 
 
 def annihilate(columns: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
@@ -114,12 +121,10 @@ def _project_panel(p: PanelData, proj_columns: np.ndarray):
     return my, np.ascontiguousarray(xt.transpose(0, 2, 1)), rank
 
 
-def _gate(gram: np.ndarray) -> int | None:
-    """Index of the first matrix of a stack (0 for a single matrix) that fails
-    the relative-eigenvalue gate, or None when all pass."""
+def _gate(gram: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack (..., d, d) fail the relative-eigenvalue gate."""
     eigvals = np.linalg.eigvalsh(gram)
-    failed = (eigvals[..., -1] <= 0) | (eigvals[..., 0] <= _EIG_GATE * eigvals[..., -1])
-    return int(np.flatnonzero(failed)[0]) if failed.any() else None
+    return (eigvals[..., -1] <= 0) | (eigvals[..., 0] <= _EIG_GATE * eigvals[..., -1])
 
 
 def _estimate(p: PanelData, proj_columns: np.ndarray, method: Method) -> EstimationResult:
@@ -138,15 +143,15 @@ def _estimate(p: PanelData, proj_columns: np.ndarray, method: Method) -> Estimat
         # mx[i].T @ mx[i], so the per-unit betas keep their bits.
         mx_t = mx.transpose(0, 2, 1)
         gram = mx_t @ mx
-        bad = _gate(gram)
-        if bad is not None:
-            raise SingularUnit(p.unit_labels[bad])
+        bad = np.flatnonzero(_gate(gram))
+        if bad.size:
+            raise SingularUnit(p.unit_labels[bad[0]])
         per_unit = np.linalg.solve(gram, mx_t @ my[:, :, None])[:, :, 0]
         beta = per_unit.mean(axis=0)
     else:
         gram = np.einsum("itk,itl->kl", mx, mx)
         rhs = np.einsum("itk,it->k", mx, my)
-        if _gate(gram) is not None:
+        if _gate(gram):
             raise SingularDesign("Gram matrix fails the relative-eigenvalue gate; "
                                  "design is collinear or T is too small relative to "
                                  "the projection rank")
@@ -187,8 +192,9 @@ def ccemg_estimate(p: PanelData) -> EstimationResult:
 class EstimatorConfig:
     """The method and, for SCCE, the sieve: a family and J = knot_c * floor(T**(1/r)) knots.
 
-    ``method`` and ``knot_rate`` may be given as their string values; an
-    unknown value or a ``knot_c`` below 1 raises ScceError here, not later.
+    ``method`` and ``knot_rate`` may be given as their string values and
+    ``family`` as its BasisKind or that kind's value; an unknown value or a
+    ``knot_c`` that is not a positive integer raises ScceError here, not later.
     """
 
     method: Method = Method.SCCE
@@ -200,10 +206,16 @@ class EstimatorConfig:
         try:
             object.__setattr__(self, "method", Method(self.method))
             object.__setattr__(self, "knot_rate", KnotRate(self.knot_rate))
+            if not isinstance(self.family, BasisFamily):
+                object.__setattr__(self, "family", BasisFamily(BasisKind(self.family)))
         except ValueError as exc:
             raise ScceError(str(exc)) from None
-        if self.knot_c < 1:
+        knot_c = self.knot_c
+        if isinstance(knot_c, float) and knot_c.is_integer():
+            knot_c = int(knot_c)
+        if not isinstance(knot_c, (int, np.integer)) or knot_c < 1:
             raise ScceError("knot multiplier must be a positive integer")
+        object.__setattr__(self, "knot_c", int(knot_c))
 
     def basis(self, p: PanelData) -> SieveBasis:
         """The sieve basis of the panel's own cross-sectional averages."""
@@ -213,6 +225,56 @@ class EstimatorConfig:
     def estimate(self, p: PanelData) -> EstimationResult:
         """``estimate_panel`` with these settings."""
         return estimate_panel(p, self.method, self.family, self.knot_c, self.knot_rate)
+
+
+def _estimate_reweighted(config: EstimatorConfig, z: np.ndarray, w: np.ndarray) -> list:
+    """``config.estimate(q).beta`` for each panel q that repeats unit i w[b, i]
+    times (w is B x N, each row summing to N), or None where it would raise
+    ScceError. ``z`` is the panel's [y, X] in (N, d + 1, T) layout.
+
+    The B panels are solved together: one GEMM for their proxies, one stacked
+    SVD for their spans (each with its own cutoff), one stacked residual
+    Z - (Z U) U' that projects every unit once, and the weighted Grams. The
+    results agree with the per-panel path to rounding (about 1e-13 relative).
+    """
+    n, d1, t = z.shape
+    d = d1 - 1
+    betas = [None] * len(w)
+    if config.method == Method.CCEP and t < 2 * d + 3:
+        return betas
+    proxies = (w @ z.reshape(n, -1) / n).reshape(-1, d1, t)
+    if config.method == Method.SCCE:
+        cols, widths = _sieve_stack(proxies, config.family,
+                                    knot_count(t, config.knot_c, config.knot_rate))
+    else:
+        cols = np.concatenate([np.ones((len(w), t, 1)), proxies.transpose(0, 2, 1)], axis=2)
+        widths = np.full(len(w), d1 + 1)
+    # A basis that overflows raises NumericalError on the per-panel path.
+    finite = np.flatnonzero(np.isfinite(cols).all(axis=(1, 2)))
+    w = w[finite]
+    u, s, _ = np.linalg.svd(cols[finite], full_matrices=False)
+    kept = _above_cutoff(s, t, widths[finite, None])
+    u *= kept[:, None, :]
+    zr = z.reshape(n * d1, t)
+    resid = (zr @ u) @ u.transpose(0, 2, 1)
+    np.subtract(zr, resid, out=resid)
+    resid = resid.reshape(len(finite), n, d1, t)
+    grams = resid @ resid.transpose(0, 1, 3, 2)  # per unit [y, X]' M [y, X]
+    if config.method == Method.CCEMG:
+        present = w > 0
+        fits = (t - kept.sum(axis=1) > d) & ~(_gate(grams[:, :, 1:, 1:]) & present).any(axis=1)
+        solved = fits[:, None] & present
+        per_unit = np.zeros((len(finite), n, d))
+        per_unit[solved] = np.linalg.solve(grams[solved, 1:, 1:], grams[solved, 1:, :1])[..., 0]
+        beta = np.einsum("bi,bik->bk", w, per_unit) / n
+    else:
+        pooled = np.einsum("bi,bikl->bkl", w, grams)
+        fits = ~_gate(pooled[:, 1:, 1:])
+        beta = np.zeros((len(finite), d))
+        beta[fits] = np.linalg.solve(pooled[fits, 1:, 1:], pooled[fits, 1:, :1])[..., 0]
+    for b in np.flatnonzero(fits):
+        betas[finite[b]] = beta[b]
+    return betas
 
 
 def estimate_panel(p: PanelData, method: Method = EstimatorConfig.method,

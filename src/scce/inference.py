@@ -27,17 +27,23 @@ from .estimators import (
     EstimatorConfig,
     Method,
     _estimate,
+    _estimate_reweighted,
     _gate,
     _linear_proxy_columns,
     annihilate,
 )
 from .panel import PanelData
 from .sieve import TAG_NONLINEAR, SieveBasis
-from .simulate import replicate, stream
+from .simulate import drop_skipped, pool_map, stream
 
 __all__ = ["CovarianceEstimate", "BootstrapResult", "TestResult", "BootstrapConfig",
            "default_hac_window", "sigma_v_hat", "hac_theta", "sandwich_covariance",
            "bootstrap_ci", "linearity_test", "adf_test"]
+
+# Bytes of projected [y, X] one chunk of bootstrap draws holds, N(d+1)T
+# doubles per draw. Larger chunks run a little faster; this size keeps the
+# chunks of two pool threads to a few MB of peak memory.
+_CHUNK_BYTES = 3 << 19
 
 # Large-T constant-case ADF critical values at the 1%, 5% and 10% levels.
 _ADF_CRITICAL = ((-3.43, 0.01), (-2.86, 0.05), (-2.57, 0.10))
@@ -124,7 +130,7 @@ def sandwich_covariance(sigma_v: np.ndarray, theta: np.ndarray,
                         n_units: int, n_periods: int,
                         hac_window: int) -> CovarianceEstimate:
     """Sigma_v^{-1} Theta Sigma_v^{-1} and std errors sqrt(diag / (N T))."""
-    if _gate(sigma_v) is not None:
+    if _gate(sigma_v):
         raise SingularSigmaV("residual second-moment matrix is numerically singular")
     inv = np.linalg.inv(sigma_v)
     sandwich = inv @ theta @ inv
@@ -162,25 +168,29 @@ class BootstrapConfig(EstimatorConfig):
             raise ScceError("confidence level must lie in (0, 1)")
 
 
-def _resample(p: PanelData, idx: np.ndarray) -> PanelData:
-    return PanelData(y=p.y[idx], x=p.x[idx],
-                     unit_labels=tuple(range(len(idx))),
-                     time_labels=p.time_labels)
-
-
 def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> BootstrapResult:
     """Pair bootstrap: resample whole units with replacement.
 
-    Replication b draws its indices from a counter-based stream keyed by
-    (seed, b), so parallel and serial execution produce identical draws. The
-    proxy, knots, and basis are rebuilt from each resampled panel. Singular
-    replications are skipped and counted; more than 1% skipped is an error.
+    Draw b takes its N unit indices from a counter-based stream keyed by
+    (seed, b) and becomes the count of each unit among them: a unit weight.
+    The draws are estimated in chunks of a fixed size set by the panel's size
+    (``_estimate_reweighted``), with the proxy, knots, basis and projection of
+    each draw's own resampled panel, so serial and parallel runs (over chunks)
+    give identical draws. Draws that fail are skipped and counted; more than
+    1% skipped is an error.
     """
     n = p.n_units
-    kept, skipped = replicate(
-        lambda b: _resample(p, stream(config.seed, b).integers(0, n, size=n)),
-        lambda q: config.estimate(q).beta,
-        config.n_draws, config.max_workers)
+    z = np.concatenate([p.y[:, None, :], p.x.transpose(0, 2, 1)], axis=1)  # N x (d+1) x T
+    size = max(1, _CHUNK_BYTES // z.nbytes)
+
+    def chunk(c: int) -> list:
+        draws = range(c * size, min((c + 1) * size, config.n_draws))
+        w = np.array([np.bincount(stream(config.seed, b).integers(0, n, size=n), minlength=n)
+                      for b in draws], dtype=np.float64)
+        return _estimate_reweighted(config, z, w)
+
+    chunks = pool_map(chunk, -(-config.n_draws // size), config.max_workers)
+    kept, skipped = drop_skipped([beta for c in chunks for beta in c])
     draws = np.array(kept)
     alpha = (1.0 - config.level) / 2.0
     return BootstrapResult(

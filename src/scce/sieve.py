@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScceError
+from .errors import NumericalError, ScceError
 from .panel import FactorProxy
 
 __all__ = ["BasisKind", "BasisFamily", "KnotRate", "SieveBasis",
@@ -124,26 +124,40 @@ def spline_basis_vector(value: float, knots: np.ndarray) -> np.ndarray:
 
 
 def _spline_block(col: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    poly = col[:, None] ** np.arange(4)
-    if knots.size == 0:
+    """[1, v, v^2, v^3, (v - k_1)_+^3, ...] of each entry of ``col`` (..., T) at
+    ``knots`` (..., J): shape (..., T, 4 + J)."""
+    poly = col[..., None] ** np.arange(4)
+    if knots.shape[-1] == 0:
         return poly
-    trunc = np.maximum(col[:, None] - knots[None, :], 0.0) ** 3
-    return np.hstack([poly, trunc])
+    trunc = np.maximum(col[..., :, None] - knots[..., None, :], 0.0) ** 3
+    return np.concatenate([poly, trunc], axis=-1)
 
 
 def _hermite_block(col: np.ndarray, max_degree: int) -> np.ndarray:
-    """Probabilists' Hermite polynomials He_0..He_max evaluated columnwise."""
-    out = np.empty((col.size, max_degree + 1))
-    out[:, 0] = 1.0
+    """Probabilists' Hermite polynomials He_0..He_max of each entry of ``col``:
+    shape col.shape + (max_degree + 1,)."""
+    out = np.empty(col.shape + (max_degree + 1,))
+    out[..., 0] = 1.0
     if max_degree >= 1:
-        out[:, 1] = col
+        out[..., 1] = col
     for n in range(1, max_degree):
-        out[:, n + 1] = col * out[:, n] - n * out[:, n - 1]
+        out[..., n + 1] = col * out[..., n] - n * out[..., n - 1]
     return out
 
 
 def _power_block(col: np.ndarray, max_degree: int) -> np.ndarray:
-    return col[:, None] ** np.arange(max_degree + 1)
+    return col[..., None] ** np.arange(max_degree + 1)
+
+
+def _block(col: np.ndarray, family: BasisFamily, j: int, knots: np.ndarray) -> np.ndarray:
+    """The family's basis of each entry of ``col`` (..., T); splines use ``knots``,
+    the others degree + j. Overflow gives inf, which the callers check for."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family.kind == BasisKind.CUBIC_SPLINE:
+            return _spline_block(col, knots)
+        if family.kind == BasisKind.HERMITE:
+            return _hermite_block(col, family.degree + j)
+        return _power_block(col, family.degree + j)
 
 
 def build_sieve_matrix(proxy: FactorProxy, family: BasisFamily = BasisFamily(),
@@ -154,29 +168,49 @@ def build_sieve_matrix(proxy: FactorProxy, family: BasisFamily = BasisFamily(),
     column; Hermite and power-series blocks share the spline block width
     (degree + 1 + j columns) with knots unused. In each block the leading 1
     is tagged constant, the degree-1 term linear, and the rest nonlinear.
+    A basis that overflows raises NumericalError.
     """
     if j < 0:
         raise ScceError("knot count must be >= 0")
     blocks, knots_all, tags = [], [], []
     for r in range(proxy.n_columns):
         col = proxy.values[:, r]
-        if family.kind == BasisKind.CUBIC_SPLINE:
-            knots = compute_knots(col, j)
-            block = _spline_block(col, knots)
-        else:
-            knots = np.empty(0)
-            max_degree = family.degree + j
-            if family.kind == BasisKind.HERMITE:
-                block = _hermite_block(col, max_degree)
-            else:
-                block = _power_block(col, max_degree)
+        knots = compute_knots(col, j) if family.kind == BasisKind.CUBIC_SPLINE else np.empty(0)
+        block = _block(col, family, j, knots)
         blocks.append(block)
         knots_all.append(knots)
         tags.extend([TAG_CONSTANT, TAG_LINEAR] + [TAG_NONLINEAR] * (block.shape[1] - 2))
+    matrix = np.hstack(blocks)
+    if not np.isfinite(matrix).all():
+        raise NumericalError("sieve basis overflows: the factor proxy is too large to "
+                             "expand; rescale the data")
     return SieveBasis(
-        matrix=np.hstack(blocks),
+        matrix=matrix,
         knots=tuple(knots_all),
         family=family,
         j_requested=j,
         column_tags=tuple(tags),
     )
+
+
+def _sieve_stack(proxies: np.ndarray, family: BasisFamily,
+                 j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bases ``build_sieve_matrix`` gives a (B, C, T) stack of proxies, time
+    last: a (B, T, K) stack, and each basis's width after tied knots collapse.
+
+    A tied knot's column is zero here (its knot is +inf), so that every basis
+    has the same K columns and spans what its collapsed basis spans. A basis
+    that overflows is returned with its inf entries for the caller to drop.
+    """
+    b, c, t = proxies.shape
+    knots = np.empty((b, c, 0))
+    if family.kind == BasisKind.CUBIC_SPLINE and j > 0:
+        probs = np.arange(1, j + 1) / (j + 1)
+        knots = np.sort(np.moveaxis(np.quantile(proxies, probs, axis=-1, method="linear"), 0, -1))
+        knots[..., 1:][knots[..., 1:] == knots[..., :-1]] = np.inf
+    block = _block(proxies, family, j, knots)  # (B, C, T, width per column)
+    if family.kind == BasisKind.CUBIC_SPLINE:
+        widths = c * 4 + np.isfinite(knots).sum(axis=(1, 2))
+    else:
+        widths = np.full(b, c * block.shape[-1])
+    return block.transpose(0, 2, 1, 3).reshape(b, t, -1), widths

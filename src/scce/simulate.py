@@ -103,19 +103,9 @@ def stream(seed: int, *key) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))))
 
 
-def replicate(draw, estimate, count: int, workers: int | None = None) -> tuple[list, int]:
-    """``estimate(draw(i))`` for i = 0..count-1 in order, minus the skipped
-    ones, and the skip count. ScceError from ``estimate`` skips a replication
-    (over 1% raise TooManySkipped); errors from ``draw`` propagate. Runs on
-    ``workers`` threads, by default SCCE_THREADS, else one; either must lie in
-    1.._MAX_WORKERS."""
-    def one(i: int):
-        sample = draw(i)
-        try:
-            return estimate(sample)
-        except ScceError:
-            return None
-
+def pool_map(fn, count: int, workers: int | None = None) -> list:
+    """``[fn(i) for i in range(count)]`` on ``workers`` threads, by default
+    SCCE_THREADS, else one; either must lie in 1.._MAX_WORKERS."""
     source, value = "max_workers", workers
     if workers is None:
         source, value = "SCCE_THREADS", os.environ.get("SCCE_THREADS") or "1"
@@ -128,14 +118,32 @@ def replicate(draw, estimate, count: int, workers: int | None = None) -> tuple[l
                         f"the ceiling is {_MAX_WORKERS} threads")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(count)))
-    else:
-        results = [one(i) for i in range(count)]
+            return list(pool.map(fn, range(count)))
+    return [fn(i) for i in range(count)]
+
+
+def drop_skipped(results: list) -> tuple[list, int]:
+    """The results that are not None, in order, and the count of those that
+    are: the skipped replications. Over 1% skipped raises TooManySkipped."""
     kept = [r for r in results if r is not None]
-    skipped = count - len(kept)
-    if skipped > _SKIP_TOLERANCE * count:
-        raise TooManySkipped(skipped, count)
+    skipped = len(results) - len(kept)
+    if skipped > _SKIP_TOLERANCE * len(results):
+        raise TooManySkipped(skipped, len(results))
     return kept, skipped
+
+
+def replicate(draw, estimate, count: int, workers: int | None = None) -> tuple[list, int]:
+    """``estimate(draw(i))`` for i = 0..count-1 in order on ``pool_map``, minus
+    the skipped ones, and the skip count (``drop_skipped``). ScceError from
+    ``estimate`` skips a replication; errors from ``draw`` propagate."""
+    def one(i: int):
+        sample = draw(i)
+        try:
+            return estimate(sample)
+        except ScceError:
+            return None
+
+    return drop_skipped(pool_map(one, count, workers))
 
 
 def _draw_factors(rng: np.random.Generator, t: int, mode: FactorMode) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 
 import scce
 from scce import Dgp, DgpConfig, generate_panel, simulate
+from conftest import make_panel
 from scce.cli import EXIT_DATA_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK, main
 
 
@@ -109,6 +110,27 @@ class TestEstimate:
                      "--no-adf"]) == EXIT_NUMERICAL_ERROR
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["estimate"], ["estimate", "--bootstrap", "9"],
+                                         ["test-linearity"]])
+    def test_finite_values_that_overflow_the_sieve_exit_3(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(3)
+        sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=3)).panel
+        huge = make_panel(1e120 * sp.y, 1e120 * rng.normal(size=sp.x.shape))
+        path = write_panel_csv(tmp_path / "huge.csv", huge)
+        assert main([command[0], "--input", path] + command[1:]) == EXIT_NUMERICAL_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: sieve basis overflows: the factor proxy is too large to " \
+                      "expand; rescale the data\n"
+
+    def test_stray_linalg_error_exits_3_with_one_line(self, panel_csv, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert main(["estimate", "--input", panel_csv]) == EXIT_NUMERICAL_ERROR
+        assert capsys.readouterr().err == \
+            "error: linear algebra failed: SVD did not converge\n"
+
 
 SIM = ["simulate", "--dgp", "e1", "--n", "5", "--t", "10", "--reps", "2"]
 CONFIG_ERRORS = [
@@ -145,6 +167,8 @@ CONFIG_ERRORS = [
      "{link}: --output names the --input file"),
     (["estimate", "--input", "{time_gap}", "--diff"], {},
      "time labels skip from 2001 to 2003; first differencing needs consecutive periods"),
+    (["estimate", "--input", "{csv}", "--seed", "-1"], {},
+     "seed must be a non-negative integer, got '-1'"),
 ]
 
 

@@ -243,11 +243,22 @@ class TestEstimatorConfig:
         want = EstimatorConfig(knot_rate=KnotRate.THIRD).estimate(p)
         assert got.beta.tobytes() == want.beta.tobytes()
 
+    @pytest.mark.parametrize("family", ["hermite", BasisKind.HERMITE,
+                                        BasisFamily(BasisKind.HERMITE)])
+    def test_family_given_as_kind_or_value_estimates_alike(self, family):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=8, t=40, seed=26)).panel
+        config = EstimatorConfig(family=family, knot_c=2.0)
+        assert config.family == BasisFamily(BasisKind.HERMITE) and config.knot_c == 2
+        want = estimate_panel(p, Method.SCCE, BasisFamily(BasisKind.HERMITE), 2)
+        assert config.estimate(p).beta.tobytes() == want.beta.tobytes()
+
     @pytest.mark.parametrize("settings, message", [
         ({"knot_c": 0}, "knot multiplier must be a positive integer"),
         ({"method": Method.CCEP, "knot_c": -1}, "knot multiplier must be a positive integer"),
         ({"method": "ols"}, "'ols' is not a valid Method"),
         ({"knot_rate": "half"}, "'half' is not a valid KnotRate"),
+        ({"knot_c": 1.5}, "knot multiplier must be a positive integer"),
+        ({"family": "quadratic"}, "'quadratic' is not a valid BasisKind"),
     ])
     def test_bad_settings_fail_at_construction(self, settings, message):
         with pytest.raises(ScceError, match=message):

@@ -8,9 +8,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scce import (
     BasisFamily,
+    BasisKind,
     BootstrapConfig,
     DegenerateSeries,
     EstimationResult,
@@ -18,6 +21,7 @@ from scce import (
     KnotRate,
     Method,
     NoNonlinearColumns,
+    PanelData,
     SeriesTooShort,
     SieveBasis,
     ScceError,
@@ -36,8 +40,10 @@ from scce import (
     sandwich_covariance,
     sigma_v_hat,
 )
-from scce import simulate
+from scce import inference, simulate
+from scce.estimators import _estimate_reweighted
 from scce.sieve import TAG_NONLINEAR
+from scce.simulate import Dgp, DgpConfig, generate_panel, stream
 
 from conftest import make_panel
 
@@ -238,6 +244,145 @@ class TestBootstrapCi:
                 bootstrap_ci(p, BootstrapConfig(n_draws=9, max_workers=workers))
 
 
+def per_draw_oracle(p, config):
+    """Each draw estimated on its own resampled panel, None where that raises."""
+    n = p.n_units
+    out = []
+    for b in range(config.n_draws):
+        idx = stream(config.seed, b).integers(0, n, size=n)
+        try:
+            out.append(config.estimate(make_panel(p.y[idx], p.x[idx])).beta)
+        except ScceError:
+            out.append(None)
+    return out
+
+
+def assert_draws_match(got, oracle, rtol=1e-12):
+    want = np.array([beta for beta in oracle if beta is not None])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def chunk_bytes(p, draws):
+    """A chunk budget that holds ``draws`` draws of the panel ``p``."""
+    return draws * p.n_units * p.n_periods * (p.n_regressors + 1) * 8
+
+
+def partly_collinear_panel(seed, n=10, special=6, t=30):
+    """x2 = x1 in all but the first ``special`` units: a resample is singular
+    when at most one of those is drawn, since the proxy then spans x2 - x1."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, t, 2))
+    x[special:, :, 1] = x[special:, :, 0]
+    return make_panel(x @ np.array([1.0, 1.0]) + rng.normal(size=(n, t)), x)
+
+
+class TestBatchedBootstrap:
+    """The draws are solved in stacked chunks; each must equal a re-estimate
+    of its resampled panel to rounding."""
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("kind", ["cubic_spline", "hermite", "power_series"])
+    def test_draws_match_the_per_draw_oracle(self, method, kind):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=30, t=40, seed=31)).panel
+        config = BootstrapConfig(method=method, family=kind, n_draws=25, seed=4)
+        assert_draws_match(bootstrap_ci(p, config).draws, per_draw_oracle(p, config))
+
+    def test_tied_knots_collapse_as_in_the_oracle(self, random_panel):
+        # In 30 of 40 periods every unit's x2 is its own constant, so the
+        # proxy x2bar repeats one value there and both its knots tie.
+        p = random_panel(n=12, t=40, seed=32)
+        x = p.x.copy()
+        x[:, :30, 1] = np.arange(12.0)[:, None]
+        p = make_panel(x @ np.array([1.0, 1.0]) + p.y - p.x.sum(axis=2), x)
+        config = BootstrapConfig(n_draws=20, seed=5)
+        idx = stream(config.seed, 0).integers(0, 12, size=12)
+        basis = config.basis(make_panel(p.y[idx], p.x[idx]))
+        assert len(basis.knots[2]) == 1 < basis.j_requested
+        assert_draws_match(bootstrap_ci(p, config).draws, per_draw_oracle(p, config))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_single_unit_draws_are_identical(self, random_panel, method):
+        p = random_panel(n=1, t=30, seed=33)
+        draws = bootstrap_ci(p, BootstrapConfig(method=method, n_draws=9)).draws
+        assert draws.shape == (9, 2)
+        assert all(d.tobytes() == draws[0].tobytes() for d in draws)
+
+    @pytest.mark.parametrize("method", [Method.SCCE, Method.CCEP])
+    def test_some_draws_failing_the_gate_are_skipped_as_in_the_oracle(self, method):
+        p = partly_collinear_panel(seed=1)
+        config = BootstrapConfig(method=method, n_draws=400, seed=1)
+        oracle = per_draw_oracle(p, config)
+        result = bootstrap_ci(p, config)
+        assert result.skipped == sum(beta is None for beta in oracle) == 4
+        assert_draws_match(result.draws, oracle)
+
+    def test_mean_group_gates_only_the_drawn_units(self, random_panel):
+        # Unit 3's own regression is singular: the draws that hold it fail,
+        # the others do not.
+        p = random_panel(n=8, t=30, seed=34)
+        x = p.x.copy()
+        x[3, :, 1] = x[3, :, 0]
+        p = make_panel(p.y, x)
+        config = BootstrapConfig(method=Method.CCEMG, n_draws=40, seed=6)
+        oracle = per_draw_oracle(p, config)
+        with pytest.raises(TooManySkipped) as failed:
+            bootstrap_ci(p, config)
+        assert failed.value.skipped == sum(beta is None for beta in oracle)
+        assert 0 < failed.value.skipped < config.n_draws
+
+    def test_an_overflowing_draw_is_skipped_alone(self, random_panel):
+        # Unit 0's y is so large that its cubic terms overflow when it is
+        # drawn three times, but not once: the oracle raises NumericalError
+        # for that draw only.
+        p = random_panel(n=10, t=30, seed=35)
+        y = p.y.copy()
+        y[0] *= 2.2e103 / np.abs(y[0]).max()
+        p = make_panel(y, p.x)
+        z = np.concatenate([p.y[:, None, :], p.x.transpose(0, 2, 1)], axis=1)
+        rows = [[1] * 10, [3, 0, 0] + [1] * 7, [0, 2] + [1] * 8]
+        got = _estimate_reweighted(EstimatorConfig(), z, np.array(rows, dtype=float))
+        assert got[1] is None
+        units = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 1, 2, 3, 4, 5, 6, 7, 8, 9]]
+        for beta, idx in zip((got[0], got[2]), units):
+            want = EstimatorConfig().estimate(make_panel(p.y[idx], p.x[idx])).beta
+            assert np.abs(beta - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_worker_counts_give_identical_draws_over_a_partial_chunk(self, random_panel,
+                                                                     monkeypatch):
+        p = random_panel(n=8, t=30, seed=36)
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", chunk_bytes(p, 3))
+        draws = [bootstrap_ci(p, BootstrapConfig(n_draws=20, seed=7, max_workers=w)).draws
+                 for w in (1, 2, 4)]  # 6 chunks of 3 draws and one of 2
+        assert draws[0].tobytes() == draws[1].tobytes() == draws[2].tobytes()
+        config = BootstrapConfig(n_draws=20, seed=7)
+        assert_draws_match(draws[0], per_draw_oracle(p, config))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(n=st.integers(1, 12), t=st.integers(8, 40), method=st.sampled_from(list(Method)),
+           seed=st.integers(0, 2**16))
+    def test_serial_equals_parallel(self, n, t, method, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, t, 2))
+        p = PanelData(y=x.sum(axis=2) + rng.normal(size=(n, t)), x=x,
+                      unit_labels=tuple(range(n)), time_labels=tuple(range(t)))
+
+        def outcome(workers):
+            config = BootstrapConfig(method=method, n_draws=11, seed=seed, max_workers=workers)
+            try:
+                result = bootstrap_ci(p, config)
+            except TooManySkipped as exc:
+                return "skipped", exc.skipped
+            return result.draws.tobytes(), result.skipped
+
+        original = inference._CHUNK_BYTES
+        inference._CHUNK_BYTES = chunk_bytes(p, 4)
+        try:
+            assert outcome(1) == outcome(3)
+        finally:
+            inference._CHUNK_BYTES = original
+
+
 class TestBootstrapConfig:
     def test_is_an_estimator_config_with_its_fields_first(self):
         assert issubclass(BootstrapConfig, EstimatorConfig)
@@ -253,7 +398,11 @@ class TestBootstrapConfig:
         # Not TooManySkipped after every draw has failed the knot rule.
         with pytest.raises(ScceError, match="knot multiplier must be a positive integer"):
             BootstrapConfig(knot_c=0, n_draws=9)
+        with pytest.raises(ScceError, match="knot multiplier must be a positive integer"):
+            BootstrapConfig(knot_c=1.5, n_draws=9)
         assert BootstrapConfig(method="ccemg", n_draws=9).method is Method.CCEMG
+        assert BootstrapConfig(family="hermite", n_draws=9).family == BasisFamily(
+            BasisKind.HERMITE)
 
 
 def basis_for(p):

@@ -8,12 +8,13 @@ from scce import (
     BasisKind,
     FactorProxy,
     KnotRate,
+    NumericalError,
     build_sieve_matrix,
     compute_knots,
     knot_count,
     spline_basis_vector,
 )
-from scce.sieve import TAG_CONSTANT, TAG_LINEAR, TAG_NONLINEAR
+from scce.sieve import TAG_CONSTANT, TAG_LINEAR, TAG_NONLINEAR, _sieve_stack
 
 
 class TestKnotCount:
@@ -171,3 +172,32 @@ class TestBuildSieveMatrix:
             fam = BasisFamily(kind=kind) if kind == BasisKind.CUBIC_SPLINE \
                 else BasisFamily(kind=kind, degree=3)
             assert np.isfinite(build_sieve_matrix(proxy, fam, 2).matrix).all()
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_overflow_raises_numerical_error(self, kind):
+        # Finite proxy values whose cubes overflow.
+        proxy = proxy_from(1e120 * np.random.default_rng(9).normal(size=(20, 3)))
+        with pytest.raises(NumericalError, match="sieve basis overflows"):
+            build_sieve_matrix(proxy, BasisFamily(kind=kind), 2)
+
+
+class TestSieveStack:
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_each_basis_is_the_single_build_with_tied_columns_zero(self, kind):
+        rng = np.random.default_rng(10)
+        proxies = rng.normal(size=(4, 3, 40))
+        proxies[1, 2, :30] = 0.5  # both knots of this column tie
+        stack, widths = _sieve_stack(proxies, BasisFamily(kind=kind), 2)
+        for b in range(4):
+            single = build_sieve_matrix(proxy_from(proxies[b].T), BasisFamily(kind=kind), 2)
+            live = stack[b].any(axis=0)
+            assert widths[b] == single.n_columns == live.sum()
+            assert stack[b][:, live].tobytes() == single.matrix.tobytes()
+        if kind == BasisKind.CUBIC_SPLINE:
+            assert widths[1] == stack.shape[2] - 1
+
+    def test_overflow_is_left_for_the_caller(self):
+        proxies = np.random.default_rng(11).normal(size=(2, 3, 20))
+        proxies[1] *= 1e120
+        stack, _ = _sieve_stack(proxies, BasisFamily(), 2)
+        assert np.isfinite(stack[0]).all() and not np.isfinite(stack[1]).all()
