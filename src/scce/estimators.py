@@ -122,9 +122,10 @@ def _project_panel(p: PanelData, proj_columns: np.ndarray):
 
 
 def _gate(gram: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack (..., d, d) fail the relative-eigenvalue gate."""
-    eigvals = np.linalg.eigvalsh(gram)
-    return (eigvals[..., -1] <= 0) | (eigvals[..., 0] <= _EIG_GATE * eigvals[..., -1])
+    """Which matrices of a stack (..., d, d) are not finite or fail the eigenvalue gate."""
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    eigvals = np.linalg.eigvalsh(np.where(finite[..., None, None], gram, 1.0))
+    return ~finite | (eigvals[..., -1] <= 0) | (eigvals[..., 0] <= _EIG_GATE * eigvals[..., -1])
 
 
 def _estimate(p: PanelData, proj_columns: np.ndarray, method: Method) -> EstimationResult:

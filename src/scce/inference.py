@@ -17,6 +17,7 @@ from scipy.special import chdtrc
 from .errors import (
     DegenerateSeries,
     NoNonlinearColumns,
+    NumericalError,
     ScceError,
     SeriesTooShort,
     SingularSigmaV,
@@ -132,6 +133,8 @@ def sandwich_covariance(sigma_v: np.ndarray, theta: np.ndarray,
     """Sigma_v^{-1} Theta Sigma_v^{-1} and std errors sqrt(diag / (N T))."""
     if _gate(sigma_v):
         raise SingularSigmaV("residual second-moment matrix is numerically singular")
+    if not np.isfinite(theta).all():
+        raise NumericalError("HAC covariance overflows: the scores are too large; rescale the data")
     inv = np.linalg.inv(sigma_v)
     sandwich = inv @ theta @ inv
     sandwich = (sandwich + sandwich.T) / 2.0

@@ -9,6 +9,7 @@ so that results are bit-stable across runs and unit orderings.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +108,9 @@ def validate_panel(records) -> PanelData:
     """Build a PanelData from long-format records ``(unit, time, y, x1, ..., xd)``.
 
     Every (unit, time) pair must appear exactly once and the unit x time grid
-    must be complete. Rows may arrive in any order, and are read once, so the
-    first fault in input order is the one reported; units are stored in
-    ascending label order and periods in ascending time order.
+    must be complete. Rows may arrive in any order and are read once, so this
+    path names the first fault in input order, also for ``load_panel_csv``.
+    Units are stored in ascending label order and periods in ascending time order.
     """
     cells: dict[tuple, tuple] = {}
     width = None
@@ -150,7 +151,9 @@ def validate_panel(records) -> PanelData:
 
 
 def load_panel_csv(path) -> PanelData:
-    """Read a panel from CSV in the long format ``unit,time,y,x1,...,xd``."""
+    """Read a panel from CSV in the long format ``unit,time,y,x1,...,xd``: numpy's
+    C parser reads the body, and ``validate_panel`` rereads row by row any file it
+    does not take whole, so the syntax and the messages stay the csv module's."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -164,12 +167,48 @@ def load_panel_csv(path) -> PanelData:
             header = [h.strip().lower() for h in header]
             if header[:3] != ["unit", "time", "y"]:
                 raise PanelDataError(f"{path}: header must start with 'unit,time,y', got {header[:3]}")
+            if fh.seekable():
+                if (panel := _parse_body(fh, len(header))) is not None:
+                    return panel
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
             return validate_panel(_record(path, reader.line_num, row, len(header))
                                   for row in reader if row)
         except UnicodeDecodeError as exc:
             raise PanelDataError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise PanelDataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _parse_body(fh, width: int) -> PanelData | None:
+    """The rest of ``fh`` as ``np.loadtxt`` reads it, or None for the record path."""
+    fields = np.dtype([("unit", object), ("time", np.int64), ("values", np.float64, width - 2)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    # Not np.unique: 8x slower on objects, and str arrays drop trailing NULs.
+    labels = rows["unit"].tolist()
+    units = sorted(set(labels))
+    times, time_index = np.unique(rows["time"], return_inverse=True)
+    n, t = len(units), len(times)
+    # csv unquotes a '"', _record strips whitespace, and csv before Python 3.11 rejects NUL.
+    if width < 4 or min(n, t) < 2 or any(u != u.strip() or '"' in u or "\0" in u for u in units):
+        return None
+    index = dict(zip(units, range(n)))
+    cell = np.fromiter(map(index.__getitem__, labels), np.intp, len(rows)) * t + time_index
+    # Every cell once, and no line (so no field) over csv's field size limit.
+    fh.seek(0)
+    if ((np.bincount(cell, minlength=n * t) != 1).any()
+            or max(map(len, fh.buffer)) > csv.field_size_limit()):
+        return None
+    y, x = np.empty(n * t), np.empty((n * t, width - 3))
+    y[cell], x[cell] = rows["values"][:, 0], rows["values"][:, 1:]
+    return PanelData(y=y.reshape(n, t), x=x.reshape(n, t, -1), unit_labels=tuple(units),
+                     time_labels=tuple(times.tolist()))
 
 
 def _record(path, line: int, row: list, width: int) -> tuple:

@@ -32,6 +32,15 @@ def panel_csv(tmp_path):
     return write_panel_csv(tmp_path / "panel.csv", sp.panel)
 
 
+@pytest.fixture
+def huge_csv(tmp_path):
+    """A 10 x 30 panel of finite values near 1e120."""
+    rng = np.random.default_rng(3)
+    sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=3)).panel
+    huge = make_panel(1e120 * sp.y, 1e120 * rng.normal(size=sp.x.shape))
+    return write_panel_csv(tmp_path / "huge.csv", huge)
+
+
 class TestEstimate:
     def test_smoke_json_report(self, panel_csv, capsys):
         assert main(["estimate", "--input", panel_csv]) == EXIT_OK
@@ -112,15 +121,21 @@ class TestEstimate:
 
     @pytest.mark.parametrize("command", [["estimate"], ["estimate", "--bootstrap", "9"],
                                          ["test-linearity"]])
-    def test_finite_values_that_overflow_the_sieve_exit_3(self, tmp_path, capsys, command):
-        rng = np.random.default_rng(3)
-        sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=3)).panel
-        huge = make_panel(1e120 * sp.y, 1e120 * rng.normal(size=sp.x.shape))
-        path = write_panel_csv(tmp_path / "huge.csv", huge)
-        assert main([command[0], "--input", path] + command[1:]) == EXIT_NUMERICAL_ERROR
+    def test_finite_values_that_overflow_the_sieve_exit_3(self, huge_csv, capsys, command):
+        assert main([command[0], "--input", huge_csv] + command[1:]) == EXIT_NUMERICAL_ERROR
         err = capsys.readouterr().err
         assert err == "error: sieve basis overflows: the factor proxy is too large to " \
                       "expand; rescale the data\n"
+
+    @pytest.mark.parametrize("flags", [["--method", "ccep"], ["--method", "ccemg"],
+                                       ["--method", "ccep", "--bootstrap", "9"]])
+    def test_finite_values_that_overflow_the_hac_exit_3(self, huge_csv, capsys, flags):
+        # The linear methods build no sieve; the HAC scores overflow instead.
+        assert main(["estimate", "--input", huge_csv] + flags) == EXIT_NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: HAC covariance overflows: the scores are too large; " \
+                               "rescale the data\n"
 
     def test_stray_linalg_error_exits_3_with_one_line(self, panel_csv, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -21,6 +21,7 @@ from scce import (
     KnotRate,
     Method,
     NoNonlinearColumns,
+    NumericalError,
     PanelData,
     SeriesTooShort,
     SieveBasis,
@@ -163,6 +164,15 @@ class TestSandwichCovariance:
     def test_singular_sigma_rejected(self):
         with pytest.raises(SingularSigmaV):
             sandwich_covariance(np.zeros((2, 2)), np.eye(2), 3, 20, 1)
+
+    def test_non_finite_sigma_or_theta_rejected(self):
+        # Both matrices have NaN eigenvalues, which pass every comparison of
+        # the eigenvalue gate; the gate must test finiteness itself.
+        for sigma in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+            with pytest.raises(SingularSigmaV):
+                sandwich_covariance(np.array(sigma), np.eye(2), 3, 20, 1)
+        with pytest.raises(NumericalError, match="HAC covariance overflows"):
+            sandwich_covariance(np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]]), 3, 20, 1)
 
     def test_symmetric_psd_output(self):
         rng = np.random.default_rng(6)

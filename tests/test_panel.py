@@ -1,5 +1,7 @@
 """Panel construction, validation, differencing, and cross-sectional averages."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from scce import (
     load_panel_csv,
     validate_panel,
 )
+from scce.panel import _record
 
 from conftest import make_panel
 
@@ -203,3 +206,119 @@ class TestCsvRoundTrip:
             assert isinstance(load_panel_csv(path), PanelData)
         except PanelDataError:
             pass
+
+
+def record_path(path):
+    """``load_panel_csv`` as it read every file before the C parser: each
+    csv row through ``_record`` into ``validate_panel``. The oracle for it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        try:
+            return validate_panel(_record(path, reader.line_num, row, width)
+                                  for row in reader if row)
+        except csv.Error as exc:
+            raise PanelDataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def outcome(load, path):
+    """The panel's bytes and labels with their types, or the error's class and message."""
+    try:
+        p = load(path)
+    except PanelDataError as exc:
+        return type(exc), str(exc)
+    return (p.y.shape, p.y.tobytes(), p.x.tobytes(),
+            [(type(u), u) for u in p.unit_labels], [(type(s), s) for s in p.time_labels])
+
+
+# Spellings the C parser and the record path might read differently. A unit
+# or time label keeps one spelling on every row, so the panel can stay balanced.
+ODD_UNITS = ['"{}"', " {}", "{} ", "{}#", "#", '"{},b"', "{}\x00", "", "\xe9", '"', "1"]
+ODD_TIMES = ["+{}", " {} ", "{}.0", "0{}", "\x0c{}", "{}\u3000", "99999999999999999999",
+             "\u0663", "0x{}", "", " "]
+ODD_VALUES = ["1_0", " 1.5 ", "nan", "inf", "-inf", "1,5", '"1,5"', '"2.5"', "1e500", "1e-400",
+              "#1", "1#", "", "\u30003", "2\x0c", "\u0663", "0x10", "1.5.5", '"']
+ODD_LINES = ["", " ", "\t", ",", "#", "0,0,1,2,3,4"]
+
+
+@st.composite
+def csv_files(draw):
+    """A panel's rows in shuffled order, now and then with an oddly spelled
+    label, a few odd edits, and a header of 3 to 5 fields."""
+    width = draw(st.sampled_from([5, 4, 3]))
+    units = draw(st.lists(st.sampled_from(["0", "1", "2", "10", "a", "b"]),
+                          min_size=1, max_size=4, unique=True))
+    times = [str(s) for s in draw(st.lists(st.integers(-3, 12), min_size=2, max_size=4,
+                                           unique=True))]
+    for labels, odd in ((units, ODD_UNITS), (times, ODD_TIMES)):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(labels) - 1))
+            # "_".join("10") is "1_0", which int() reads as 10.
+            labels[k] = draw(st.sampled_from(odd + ["_".join(labels[k])])).format(labels[k])
+    values = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = draw(st.permutations([[u, s] + draw(st.lists(values, min_size=width - 2,
+                                                         max_size=width - 2))
+                                 for u in units for s in times]))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        edit = draw(st.sampled_from(["value", "line", "repeat", "drop", "clash", "quote"]))
+        if edit == "value" and len(row) == width:
+            row[draw(st.integers(2, width - 1))] = draw(st.sampled_from(ODD_VALUES))
+        elif edit == "line":
+            rows.insert(i, [draw(st.sampled_from(ODD_LINES))])
+        elif edit == "repeat":
+            rows.insert(i, list(row))
+        elif edit == "drop" and len(rows) > 1:
+            del rows[i]
+        elif edit == "clash" and len(row) == width:
+            # Move the row onto another's cell: a duplicate and a hole at once.
+            row[:2] = draw(st.sampled_from(rows))[:2]
+        elif edit == "quote":
+            k = draw(st.integers(0, len(row) - 1))
+            row[k] = f'"{row[k]}"'
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = ",".join(["unit", "time", "y", "x1", "x2"][:width]) + "\n"
+    body = end.join(",".join(row) for row in rows) + draw(st.sampled_from([end, ""]))
+    return (header + body).encode("utf-8")
+
+
+class TestCsvFastPath:
+    """The C parser must give the record path's panel, or its error."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(content=csv_files())
+    def test_matches_the_record_path(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("diff") / "panel.csv"
+        path.write_bytes(content)
+        assert outcome(load_panel_csv, path) == outcome(record_path, path)
+
+    def test_a_row_wider_than_the_header_is_named(self, tmp_path):
+        # np.loadtxt with usecols would drop the extra field without a word.
+        path = tmp_path / "panel.csv"
+        path.write_text("unit,time,y,x1\na,0,1,2\na,1,1,2,9\nb,0,1,2\nb,1,1,2\n")
+        with pytest.raises(PanelDataError, match=r"line 3 has 5 field\(s\); the header has 4"):
+            load_panel_csv(path)
+
+    @pytest.mark.parametrize("field", ["1" * (128 * 1024 + 1), "0." + "0" * (128 * 1024) + "1"])
+    def test_a_field_over_the_csv_limit_is_named(self, tmp_path, field):
+        # np.loadtxt reads the first as inf and the second as 0.0.
+        path = tmp_path / "panel.csv"
+        path.write_text(f"unit,time,y,x1\na,0,1,2\na,1,{field},2\nb,0,1,2\nb,1,1,2\n")
+        with pytest.raises(PanelDataError, match="line 3: field larger than field limit"):
+            load_panel_csv(path)
+
+    def test_shuffled_rows_load_as_the_sorted_file(self, tmp_path, random_panel):
+        p = random_panel(n=4, t=5, seed=8)
+        labels = ["0", "1", "2", "10"]
+        lines = [f"{labels[i]},{s},{float(p.y[i, s])!r},{float(p.x[i, s, 0])!r},"
+                 f"{float(p.x[i, s, 1])!r}\n" for i in range(4) for s in range(5)]
+        loaded = []
+        for order in (sorted(lines), list(np.random.default_rng(8).permutation(lines))):
+            path = tmp_path / f"panel{len(loaded)}.csv"
+            path.write_text("unit,time,y,x1,x2\n" + "".join(order))
+            loaded.append(load_panel_csv(path))
+        a, b = loaded
+        assert a.unit_labels == b.unit_labels == ("0", "1", "10", "2")
+        assert a.y.tobytes() == b.y.tobytes() and a.x.tobytes() == b.x.tobytes()
+        assert a.y[2].tobytes() == p.y[3].tobytes()
