@@ -3,7 +3,8 @@
 Covers the residual second-moment matrix, the Bartlett-kernel HAC long-run
 covariance, the sandwich covariance and standard errors, pair-bootstrap
 percentile confidence intervals, a score-type test of factor linearity, and
-an augmented Dickey-Fuller pretest with BIC lag selection.
+an augmented Dickey-Fuller pretest with BIC lag selection. The HAC pads each
+unit's scores with L zeros, so each lag is one GEMM that pairs no two units.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ def default_hac_window(t_periods: int) -> int:
 
 def sigma_v_hat(result: EstimationResult) -> np.ndarray:
     """(1/NT) sum_i V_hat_i' V_hat_i."""
-    n, t = result.n_units, result.n_periods
-    gram = np.einsum("itk,itl->kl", result.v_hat, result.v_hat) / (n * t)
+    v = result.v_hat.reshape(-1, result.n_regressors)
+    with np.errstate(over="ignore", invalid="ignore"):  # sandwich_covariance gates inf
+        gram = v.T @ v / len(v)
     return (gram + gram.T) / 2.0
 
 
@@ -115,16 +117,15 @@ def hac_theta(result: EstimationResult, window: int | None = None) -> np.ndarray
     Theta_l = (1/NT) sum_i sum_{t>l} eps_it eps_{i,t-l} v_it v_{i,t-l}' and
     Theta = Theta_0 + sum_{l=1..L} (1 - l/(L+1)) (Theta_l + Theta_l').
     """
-    n, t = result.n_units, result.n_periods
+    n, t, d = result.v_hat.shape
     if window is None:
         window = default_hac_window(t)
     _check_window(window, t)
-    scores = result.eps_hat[:, :, None] * result.v_hat  # N x T x d
-
-    def lag_cov(lag: int) -> np.ndarray:
-        return np.einsum("itk,itl->kl", scores[:, lag:, :], scores[:, :t - lag, :]) / (n * t)
-
-    return _bartlett(lag_cov, window)
+    s = np.zeros((d, n, t + window))  # each unit's T scores, then L zeros
+    with np.errstate(over="ignore", invalid="ignore"):  # sandwich_covariance gates inf
+        np.multiply(result.eps_hat, result.v_hat.transpose(2, 0, 1), out=s[:, :, :t])
+        s = s.reshape(d, -1)
+        return _bartlett(lambda lag: s[:, lag:] @ s[:, :s.shape[1] - lag].T / (n * t), window)
 
 
 def sandwich_covariance(sigma_v: np.ndarray, theta: np.ndarray,

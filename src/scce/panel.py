@@ -1,14 +1,15 @@
 """Balanced-panel data model, validation, and preprocessing.
 
 Holds the observed panel (y, X), performs first differencing, and computes
-the cross-sectional averages that serve as the factor proxy. Averages are
-accumulated in ascending unit-label order with compensated (Kahan) summation
-so that results are bit-stable across runs and unit orderings.
+once per panel the cross-sectional averages that serve as the factor proxy,
+in ascending unit-label order with compensated (Kahan) summation, so that
+results are bit-stable across runs and unit orderings.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -78,6 +79,20 @@ class PanelData:
     @property
     def n_regressors(self) -> int:
         return self.x.shape[2]
+
+    @functools.cached_property
+    def _proxy(self) -> FactorProxy:
+        """The ``cross_sectional_average``, each unit's [y_i, x_i] filled into one buffer."""
+        total = np.zeros((self.n_periods, self.n_regressors + 1))
+        comp, new, row = np.zeros_like(total), np.empty_like(total), np.empty_like(total)
+        for i in sorted(range(self.n_units), key=self.unit_labels.__getitem__):
+            row[:, 0], row[:, 1:] = self.y[i], self.x[i]
+            row -= comp
+            np.add(total, row, out=new)
+            np.subtract(new, total, out=comp)
+            comp -= row
+            total, new = new, total
+        return FactorProxy(values=total / self.n_units)
 
 
 @dataclass(frozen=True)
@@ -242,24 +257,10 @@ def first_difference(p: PanelData) -> PanelData:
     )
 
 
-def _kahan_mean(stacked: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 with compensated summation, accumulated in order."""
-    total = np.zeros(stacked.shape[1:])
-    comp = np.zeros_like(total)
-    for row in stacked:
-        adj = row - comp
-        new = total + adj
-        comp = (new - total) - adj
-        total = new
-    return total / stacked.shape[0]
-
-
 def cross_sectional_average(p: PanelData) -> FactorProxy:
     """Average the observables z_it = [y_it, x_it'] over units.
 
-    Accumulation runs in ascending unit-label order regardless of storage
-    order, so the output is invariant to unit permutations bit for bit.
+    Summed in ascending unit-label order whatever the storage order, so it is
+    bit-identical under unit permutations; computed once per panel and kept.
     """
-    order = sorted(range(p.n_units), key=lambda i: p.unit_labels[i])
-    z = np.concatenate([p.y[:, :, None], p.x], axis=2)  # N x T x (d+1)
-    return FactorProxy(values=_kahan_mean(z[order]))
+    return p._proxy

@@ -22,6 +22,18 @@ def dense_annihilator(a: np.ndarray) -> np.ndarray:
     return np.eye(t) - a @ np.linalg.pinv(a)
 
 
+def write_panel_csv(path, panel):
+    """Long-format CSV ``unit,time,y,x1,...`` with every digit of each value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        d = panel.n_regressors
+        fh.write("unit,time," + ",".join(["y"] + [f"x{k+1}" for k in range(d)]) + "\n")
+        for i, unit in enumerate(panel.unit_labels):
+            for s, time in enumerate(panel.time_labels):
+                xs = ",".join(f"{float(v)!r}" for v in panel.x[i, s])
+                fh.write(f"{unit},{time},{float(panel.y[i, s])!r},{xs}\n")
+    return str(path)
+
+
 def make_panel(y: np.ndarray, x: np.ndarray) -> PanelData:
     n, t = y.shape
     return PanelData(y=np.asarray(y, dtype=float), x=np.asarray(x, dtype=float),

@@ -11,19 +11,8 @@ import pytest
 
 import scce
 from scce import Dgp, DgpConfig, generate_panel, simulate
-from conftest import make_panel
+from conftest import make_panel, write_panel_csv
 from scce.cli import EXIT_DATA_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK, main
-
-
-def write_panel_csv(path, panel):
-    with open(path, "w", encoding="utf-8") as fh:
-        d = panel.n_regressors
-        fh.write("unit,time," + ",".join(["y"] + [f"x{k+1}" for k in range(d)]) + "\n")
-        for i, unit in enumerate(panel.unit_labels):
-            for s, time in enumerate(panel.time_labels):
-                xs = ",".join(f"{float(v)!r}" for v in panel.x[i, s])
-                fh.write(f"{unit},{time},{float(panel.y[i, s])!r},{xs}\n")
-    return str(path)
 
 
 @pytest.fixture

@@ -5,6 +5,11 @@ against naive double-loop oracles implemented inline.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +85,13 @@ class TestSigmaVHat:
                 oracle += np.outer(result.v_hat[i, s], result.v_hat[i, s])
         assert np.allclose(sigma_v_hat(result), oracle / (n * t), atol=1e-12)
 
+    def test_overflow_gives_inf_without_a_warning(self):
+        # sandwich_covariance rejects an inf Sigma_v or Theta with one error line.
+        result = result_from(np.ones((2, 5)), np.full((2, 5, 2), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(sigma_v_hat(result)).all() and np.isinf(hac_theta(result, 1)).all()
+
 
 def dense_hac_oracle(result, window):
     """Triple-loop Bartlett HAC, independent of the vectorised implementation."""
@@ -125,6 +137,31 @@ class TestHacTheta:
         result = random_result(seed=3)
         assert np.allclose(hac_theta(result, window),
                            dense_hac_oracle(result, window), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_dense_oracle_at_both_ends_of_the_window(self, d):
+        t = 9
+        result = random_result(n=5, t=t, d=d, seed=20 + d)
+        for window in (0, t - 1):
+            assert np.allclose(hac_theta(result, window),
+                               dense_hac_oracle(result, window), atol=1e-12)
+
+    def test_no_lag_pairs_two_units(self):
+        # Scores only in each unit's first and last period: within a unit
+        # they are T - 1 apart, so every Theta_l with 0 < l < T - 1 is exactly
+        # zero, while a layout that let lags run from one unit into the next
+        # would pair a unit's last period with the next unit's first at l = 1.
+        n, t = 4, 6
+        rng = np.random.default_rng(24)
+        v = np.zeros((n, t, 2))
+        v[:, [0, -1]] = rng.normal(size=(n, 2, 2))
+        result = result_from(np.ones((n, t)), v)
+        theta0 = hac_theta(result, 0)
+        for window in range(1, t - 1):
+            assert np.array_equal(hac_theta(result, window), theta0)
+        assert np.allclose(hac_theta(result, t - 1),
+                           dense_hac_oracle(result, t - 1), atol=1e-12)
+        assert not np.allclose(hac_theta(result, t - 1), theta0)
 
     def test_window_too_large(self):
         result = random_result(n=2, t=10, seed=4)
@@ -190,6 +227,26 @@ class TestSandwichCovariance:
         assert np.allclose(est.sigma_v, sigma_v_hat(result), atol=1e-15)
         assert np.allclose(est.theta, hac_theta(result, 2), atol=1e-15)
         assert est.hac_window == 2
+
+    def test_bit_identical_at_one_and_two_blas_threads(self):
+        # Large enough that OpenBLAS may split the lag GEMMs across threads.
+        script = ("import numpy as np\n"
+                  "from scce import EstimationResult, Method, hac_covariance\n"
+                  "rng = np.random.default_rng(25)\n"
+                  "r = EstimationResult(beta=np.zeros(3), method=Method.SCCE, projection_rank=0,\n"
+                  "                     eps_hat=rng.normal(size=(300, 200)),\n"
+                  "                     v_hat=rng.normal(size=(300, 200, 3)))\n"
+                  "est = hac_covariance(r)\n"
+                  "print(est.theta.tobytes().hex(), est.sigma_v.tobytes().hex())\n")
+        src = str(Path(inference.__file__).parents[1])
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+        assert out[0] == out[1] and out[0].strip()
 
 
 class TestBootstrapCi:

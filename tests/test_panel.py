@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scce import (
     DgpConfig,
     DuplicateCell,
+    EstimatorConfig,
+    FactorProxy,
     NonFiniteValue,
     PanelData,
     PanelDataError,
@@ -18,12 +20,15 @@ from scce import (
     cross_sectional_average,
     first_difference,
     generate_panel,
+    linearity_test,
     load_panel_csv,
     validate_panel,
 )
+from scce import panel as panel_module
+from scce.cli import main
 from scce.panel import _record
 
-from conftest import make_panel
+from conftest import make_panel, write_panel_csv
 
 
 def records_grid(n, t, value=lambda i, s: float(i + s)):
@@ -149,6 +154,49 @@ class TestCrossSectionalAverage:
         a = cross_sectional_average(validate_panel(recs))
         b = cross_sectional_average(validate_panel(list(reversed(recs))))
         assert np.array_equal(a.values, b.values)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 7), t=st.integers(2, 9), d=st.integers(1, 3), data=st.data())
+    def test_byte_identical_to_the_kahan_mean_in_any_unit_order(self, n, t, d, data):
+        labels = data.draw(st.lists(st.text(max_size=3) | st.integers(-99, 99).map(str),
+                                    min_size=n, max_size=n, unique=True)
+                           | st.lists(st.integers(-99, 99), min_size=n, max_size=n, unique=True))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # Spread magnitudes, so that the compensation term matters.
+        z = rng.normal(size=(n, t, d + 1)) * 10.0 ** rng.integers(-8, 9, size=(n, t, d + 1))
+        perm = data.draw(st.permutations(range(n)))
+        panels = [PanelData(y=z[o, :, 0], x=z[o, :, 1:], unit_labels=[labels[i] for i in o],
+                            time_labels=tuple(range(t))) for o in (list(range(n)), perm)]
+        # The proxy as computed before a panel kept it: a Kahan mean over the
+        # (N, T, d + 1) stack reordered by unit label.
+        order = sorted(range(n), key=lambda i: labels[i])
+        stacked = np.concatenate([panels[0].y[:, :, None], panels[0].x], axis=2)[order]
+        total = np.zeros((t, d + 1))
+        comp = np.zeros_like(total)
+        for row in stacked:
+            adj = row - comp
+            new = total + adj
+            comp = (new - total) - adj
+            total = new
+        want = (total / n).tobytes()
+        assert [cross_sectional_average(p).values.tobytes() for p in panels] == [want, want]
+
+    def test_computed_once_per_panel(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(values):
+            built.append(values)
+            return FactorProxy(values=values)
+
+        monkeypatch.setattr(panel_module, "FactorProxy", counted)
+        p = generate_panel(DgpConfig(n=8, t=30, seed=4)).panel
+        path = write_panel_csv(tmp_path / "panel.csv", p)
+        # The estimate's sieve and the ADF pretests share one proxy.
+        assert main(["estimate", "--input", path, "--output", str(tmp_path / "r.json")]) == 0
+        assert len(built) == 1
+        # So do the sieve, the CCEP residuals and the linear proxy columns.
+        linearity_test(p, EstimatorConfig().basis(p))
+        assert len(built) == 2
 
     def test_matches_average_factor_component(self):
         # With zero-mean errors averaged over many units, each proxy column
