@@ -6,7 +6,12 @@ baselines do the same with the linear proxy [1, F_hat]. The production path
 never materialises the T x T projection matrix: residuals are computed as
 X - U (U' X) from an orthonormal basis U of the projection columns. The
 bootstrap solves a chunk of resampled panels, given as unit weights, in one
-set of stacked products (``_estimate_reweighted``).
+set of stacked products (``_estimate_reweighted``). Both paths share one
+sieve and knot rule (``_sieve_stack``), one span cutoff
+(``_orthonormal_span``) and one [1, F_hat] (``_linear_columns``). Only the
+arithmetic differs: the bootstrap's proxy, residual and Grams are GEMMs; the
+point estimate keeps the Kahan proxy and einsums, whose bits the linearity
+statistic would amplify past the benchmark's references if they moved.
 
 The panel's regressors are projected in a time-last (N, d, T) layout, so
 that the summed time axis is contiguous. The einsum then runs its fast
@@ -68,23 +73,19 @@ class EstimationResult:
         return self.v_hat.shape[2]
 
 
-def _orthonormal_span(columns: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of the column span, with rank by the SVD cutoff.
-
-    Singular values below max(T, K) * eps * sigma_max are treated as zero,
-    which makes the projection invariant to duplicated or collinear columns.
+def _orthonormal_span(columns: np.ndarray, widths=None) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases U of the column spans of a (..., T, K) stack, and
+    their ranks: singular values at or below max(T, K_b) * eps * sigma_max
+    count as zero, K_b being ``widths`` (default K), so duplicated or
+    collinear columns do not change the span. U is zeroed past each rank;
+    a zero or empty block has rank 0.
     """
-    t, k = columns.shape
-    if k == 0 or not columns.any():
-        return np.zeros((t, 0)), 0
+    t, k = columns.shape[-2:]
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.count_nonzero(_above_cutoff(s, t, k)))
-    return u[:, :rank], rank
-
-
-def _above_cutoff(s: np.ndarray, t: int, k) -> np.ndarray:
-    """Which singular values (..., r) of T x K blocks exceed max(T, K) * eps * s_0."""
-    return s > np.maximum(t, k) * np.finfo(np.float64).eps * s[..., :1]
+    width = np.maximum(t, k if widths is None else widths)
+    kept = s > width[..., None] * np.finfo(np.float64).eps * s[..., :1]
+    u *= kept[..., None, :]
+    return u, kept.sum(axis=-1)
 
 
 def annihilate(columns: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
@@ -99,16 +100,14 @@ def annihilate(columns: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int
     if columns.shape[0] != target.shape[0]:
         raise ScceError(f"row mismatch: columns has {columns.shape[0]} rows, target {target.shape[0]}")
     u, rank = _orthonormal_span(columns)
-    if rank == 0:
-        return target.copy(), 0
-    return target - u @ (u.T @ target), rank
+    u = u[:, :rank]
+    return target - u @ (u.T @ target), int(rank)
 
 
 def _project_panel(p: PanelData, proj_columns: np.ndarray):
     """Annihilate the projection columns from every unit's y and X."""
     u, rank = _orthonormal_span(np.asarray(proj_columns, dtype=np.float64))
-    if rank == 0:
-        return p.y.copy(), p.x.copy(), 0
+    u = u[:, :rank]
     # Apply I - U U' along the time axis; memory stays O(NTd + Tr).
     my = p.y - (p.y @ u) @ u.T
     # Time-last (N, d, T): each einsum sums over a contiguous axis, 5-10x
@@ -118,7 +117,7 @@ def _project_panel(p: PanelData, proj_columns: np.ndarray):
     # .copy(), since at d = 1 ascontiguousarray would return read-only p.x.
     xt = p.x.transpose(0, 2, 1).copy()
     xt -= np.einsum("rt,ikr->ikt", np.ascontiguousarray(u.T), np.einsum("tr,ikt->ikr", u, xt))
-    return my, np.ascontiguousarray(xt.transpose(0, 2, 1)), rank
+    return my, np.ascontiguousarray(xt.transpose(0, 2, 1)), int(rank)
 
 
 def _gate(gram: np.ndarray) -> np.ndarray:
@@ -143,7 +142,8 @@ def _estimate(p: PanelData, proj_columns: np.ndarray, method: Method) -> Estimat
         # Stacked matmul, not einsum: it makes the same BLAS call per unit as
         # mx[i].T @ mx[i], so the per-unit betas keep their bits.
         mx_t = mx.transpose(0, 2, 1)
-        gram = mx_t @ mx
+        with np.errstate(over="ignore", invalid="ignore"):  # _gate rejects inf
+            gram = mx_t @ mx
         bad = np.flatnonzero(_gate(gram))
         if bad.size:
             raise SingularUnit(p.unit_labels[bad[0]])
@@ -174,9 +174,14 @@ def scce_estimate(p: PanelData, basis: SieveBasis) -> EstimationResult:
     return _estimate(p, basis.matrix, Method.SCCE)
 
 
+def _linear_columns(proxies: np.ndarray) -> np.ndarray:
+    """[1, F_hat] of each proxy of a (..., C, T) stack: (..., T, 1 + C)."""
+    f = np.swapaxes(proxies, -1, -2)
+    return np.concatenate([np.ones(f.shape[:-1] + (1,)), f], axis=-1)
+
+
 def _linear_proxy_columns(p: PanelData) -> np.ndarray:
-    proxy = cross_sectional_average(p)
-    return np.hstack([np.ones((p.n_periods, 1)), proxy.values])
+    return _linear_columns(cross_sectional_average(p).values.T)
 
 
 def ccep_estimate(p: PanelData) -> EstimationResult:
@@ -234,48 +239,43 @@ def _estimate_reweighted(config: EstimatorConfig, z: np.ndarray, w: np.ndarray) 
     ScceError. ``z`` is the panel's [y, X] in (N, d + 1, T) layout.
 
     The B panels are solved together: one GEMM for their proxies, one stacked
-    SVD for their spans (each with its own cutoff), one stacked residual
-    Z - (Z U) U' that projects every unit once, and the weighted Grams. The
-    results agree with the per-panel path to rounding (about 1e-13 relative).
+    basis and span, one stacked residual Z - (Z U) U' that projects every
+    unit once, and the weighted Grams. The results agree with the per-panel
+    path to rounding (about 1e-13 relative).
     """
     n, d1, t = z.shape
     d = d1 - 1
-    betas = [None] * len(w)
     if config.method == Method.CCEP and t < 2 * d + 3:
-        return betas
+        return [None] * len(w)
     proxies = (w @ z.reshape(n, -1) / n).reshape(-1, d1, t)
     if config.method == Method.SCCE:
-        cols, widths = _sieve_stack(proxies, config.family,
-                                    knot_count(t, config.knot_c, config.knot_rate))
+        cols, widths, _ = _sieve_stack(proxies, config.family,
+                                       knot_count(t, config.knot_c, config.knot_rate))
     else:
-        cols = np.concatenate([np.ones((len(w), t, 1)), proxies.transpose(0, 2, 1)], axis=2)
-        widths = np.full(len(w), d1 + 1)
+        cols, widths = _linear_columns(proxies), None
     # A basis that overflows raises NumericalError on the per-panel path.
-    finite = np.flatnonzero(np.isfinite(cols).all(axis=(1, 2)))
-    w = w[finite]
-    u, s, _ = np.linalg.svd(cols[finite], full_matrices=False)
-    kept = _above_cutoff(s, t, widths[finite, None])
-    u *= kept[:, None, :]
+    finite = np.isfinite(cols).all(axis=(1, 2))
+    cols[~finite] = 0.0
+    u, rank = _orthonormal_span(cols, widths)
     zr = z.reshape(n * d1, t)
-    resid = (zr @ u) @ u.transpose(0, 2, 1)
-    np.subtract(zr, resid, out=resid)
-    resid = resid.reshape(len(finite), n, d1, t)
-    grams = resid @ resid.transpose(0, 1, 3, 2)  # per unit [y, X]' M [y, X]
+    with np.errstate(over="ignore", invalid="ignore"):  # _gate rejects inf
+        resid = (zr @ u) @ u.transpose(0, 2, 1)
+        np.subtract(zr, resid, out=resid)
+        resid = resid.reshape(len(w), n, d1, t)
+        grams = resid @ resid.transpose(0, 1, 3, 2)  # per unit [y, X]' M [y, X]
     if config.method == Method.CCEMG:
         present = w > 0
-        fits = (t - kept.sum(axis=1) > d) & ~(_gate(grams[:, :, 1:, 1:]) & present).any(axis=1)
+        fits = finite & (t - rank > d) & ~(_gate(grams[:, :, 1:, 1:]) & present).any(axis=1)
         solved = fits[:, None] & present
-        per_unit = np.zeros((len(finite), n, d))
+        per_unit = np.zeros((len(w), n, d))
         per_unit[solved] = np.linalg.solve(grams[solved, 1:, 1:], grams[solved, 1:, :1])[..., 0]
         beta = np.einsum("bi,bik->bk", w, per_unit) / n
     else:
         pooled = np.einsum("bi,bikl->bkl", w, grams)
-        fits = ~_gate(pooled[:, 1:, 1:])
-        beta = np.zeros((len(finite), d))
+        fits = finite & ~_gate(pooled[:, 1:, 1:])
+        beta = np.zeros((len(w), d))
         beta[fits] = np.linalg.solve(pooled[fits, 1:, 1:], pooled[fits, 1:, :1])[..., 0]
-    for b in np.flatnonzero(fits):
-        betas[finite[b]] = beta[b]
-    return betas
+    return [b if fit else None for b, fit in zip(beta, fits)]
 
 
 def estimate_panel(p: PanelData, method: Method = EstimatorConfig.method,

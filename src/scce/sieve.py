@@ -6,8 +6,9 @@ the per-column blocks are concatenated into the T x K design matrix used by
 the annihilator. Knots sit at empirical quantiles of the proxy column.
 
 The concatenated layout puts a 1 in every per-column block, so the matrix is
-rank-deficient by construction; downstream projections go through the
-Moore-Penrose pseudo-inverse and are invariant to the duplicated columns.
+rank-deficient by construction; downstream projections keep the singular
+directions above an SVD cutoff and are invariant to the duplicated columns.
+One builder (``_sieve_stack``) serves one proxy and the bootstrap's stacks.
 """
 
 from __future__ import annotations
@@ -112,10 +113,17 @@ def compute_knots(series: np.ndarray, j: int) -> np.ndarray:
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.size < 2:
         raise ScceError("knot placement needs a 1-d series of length >= 2")
-    if j <= 0:
-        return np.empty(0)
+    knots = _knots(series, j)
+    return knots[np.isfinite(knots)]
+
+
+def _knots(series: np.ndarray, j: int) -> np.ndarray:
+    """``compute_knots`` of each series of a (..., T) stack, ascending, with each
+    tied knot after the first of its value set to +inf: shape (..., max(j, 0))."""
     probs = np.arange(1, j + 1) / (j + 1)
-    return np.unique(np.quantile(series, probs, method="linear"))
+    knots = np.sort(np.moveaxis(np.quantile(series, probs, axis=-1, method="linear"), 0, -1))
+    knots[..., 1:][knots[..., 1:] == knots[..., :-1]] = np.inf
+    return knots
 
 
 def spline_basis_vector(value: float, knots: np.ndarray) -> np.ndarray:
@@ -172,45 +180,36 @@ def build_sieve_matrix(proxy: FactorProxy, family: BasisFamily = BasisFamily(),
     """
     if j < 0:
         raise ScceError("knot count must be >= 0")
-    blocks, knots_all, tags = [], [], []
-    for r in range(proxy.n_columns):
-        col = proxy.values[:, r]
-        knots = compute_knots(col, j) if family.kind == BasisKind.CUBIC_SPLINE else np.empty(0)
-        block = _block(col, family, j, knots)
-        blocks.append(block)
-        knots_all.append(knots)
-        tags.extend([TAG_CONSTANT, TAG_LINEAR] + [TAG_NONLINEAR] * (block.shape[1] - 2))
-    matrix = np.hstack(blocks)
+    stack, _, knots = _sieve_stack(proxy.values.T[None], family, j)
+    knots = knots[0]
+    live = np.ones((proxy.n_columns, stack.shape[2] // proxy.n_columns), dtype=bool)
+    live[:, live.shape[1] - knots.shape[1]:] = np.isfinite(knots)  # drop tied knots
+    matrix = stack[0][:, live.ravel()]
     if not np.isfinite(matrix).all():
         raise NumericalError("sieve basis overflows: the factor proxy is too large to "
                              "expand; rescale the data")
+    kinds = [TAG_CONSTANT, TAG_LINEAR] + [TAG_NONLINEAR] * (live.shape[1] - 2)
     return SieveBasis(
         matrix=matrix,
-        knots=tuple(knots_all),
+        knots=tuple(k[np.isfinite(k)] for k in knots),
         family=family,
         j_requested=j,
-        column_tags=tuple(tags),
+        column_tags=tuple(kinds[k] for _, k in zip(*np.nonzero(live))),
     )
 
 
 def _sieve_stack(proxies: np.ndarray, family: BasisFamily,
-                 j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bases ``build_sieve_matrix`` gives a (B, C, T) stack of proxies, time
-    last: a (B, T, K) stack, and each basis's width after tied knots collapse.
+                 j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bases of a (B, C, T) stack of proxies, time last: a (B, T, K) stack,
+    each basis's width after tied knots collapse, and the (B, C, J) knots
+    (J = j for splines, else 0).
 
-    A tied knot's column is zero here (its knot is +inf), so that every basis
-    has the same K columns and spans what its collapsed basis spans. A basis
-    that overflows is returned with its inf entries for the caller to drop.
+    A tied knot is +inf and its column zero here, so that every basis has the
+    same K columns and spans what its collapsed basis spans. A basis that
+    overflows is returned with its inf entries for the caller to check.
     """
     b, c, t = proxies.shape
-    knots = np.empty((b, c, 0))
-    if family.kind == BasisKind.CUBIC_SPLINE and j > 0:
-        probs = np.arange(1, j + 1) / (j + 1)
-        knots = np.sort(np.moveaxis(np.quantile(proxies, probs, axis=-1, method="linear"), 0, -1))
-        knots[..., 1:][knots[..., 1:] == knots[..., :-1]] = np.inf
-    block = _block(proxies, family, j, knots)  # (B, C, T, width per column)
-    if family.kind == BasisKind.CUBIC_SPLINE:
-        widths = c * 4 + np.isfinite(knots).sum(axis=(1, 2))
-    else:
-        widths = np.full(b, c * block.shape[-1])
-    return block.transpose(0, 2, 1, 3).reshape(b, t, -1), widths
+    knots = _knots(proxies, j if family.kind == BasisKind.CUBIC_SPLINE else 0)
+    block = _block(proxies, family, j, knots)  # (B, C, T, W)
+    widths = c * (block.shape[-1] - knots.shape[-1]) + np.isfinite(knots).sum(axis=(1, 2))
+    return block.transpose(0, 2, 1, 3).reshape(b, t, -1), widths, knots

@@ -132,20 +132,6 @@ def drop_skipped(results: list) -> tuple[list, int]:
     return kept, skipped
 
 
-def replicate(draw, estimate, count: int, workers: int | None = None) -> tuple[list, int]:
-    """``estimate(draw(i))`` for i = 0..count-1 in order on ``pool_map``, minus
-    the skipped ones, and the skip count (``drop_skipped``). ScceError from
-    ``estimate`` skips a replication; errors from ``draw`` propagate."""
-    def one(i: int):
-        sample = draw(i)
-        try:
-            return estimate(sample)
-        except ScceError:
-            return None
-
-    return drop_skipped(pool_map(one, count, workers))
-
-
 def _draw_factors(rng: np.random.Generator, t: int, mode: FactorMode) -> np.ndarray:
     if mode == FactorMode.RANDOM_WALK:
         increments = rng.normal(0.0, _RW_INCREMENT_SD, size=(t, 2))
@@ -312,15 +298,17 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
     if reps > 1 << 28 or len(grid) > 1 << 12:
         raise ScceError("at most 2**28 replications and 2**12 grid cells fit the stream packing")
 
-    def estimate(sim: SimulatedPanel) -> np.ndarray:
-        return estimator.estimate(sim.panel).beta - sim.beta
-
     cells = []
     for cell_idx, (n, t) in enumerate(grid):
-        kept, skipped = replicate(
-            lambda rep: generate_panel(replace(dgp_config, n=n, t=t,
-                                               seed=_pack_stream_seed(seed, cell_idx, rep))),
-            estimate, reps)
+        def error(rep: int) -> np.ndarray | None:  # None: skipped; DGP errors propagate
+            sim = generate_panel(replace(dgp_config, n=n, t=t,
+                                         seed=_pack_stream_seed(seed, cell_idx, rep)))
+            try:
+                return estimator.estimate(sim.panel).beta - sim.beta
+            except ScceError:
+                return None
+
+        kept, skipped = drop_skipped(pool_map(error, reps))
         n_kept = len(kept)
         d = len(kept[0])
         abs_bias = tuple(abs(math.fsum(e[k] for e in kept)) / n_kept for k in range(d))

@@ -7,6 +7,8 @@ identities on noiseless data.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scce import (
     BasisFamily,
@@ -34,6 +36,25 @@ from scce.estimators import _orthonormal_span, _project_panel
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR
 
 from conftest import dense_annihilator, make_panel
+
+
+@st.composite
+def random_blocks(draw, t=None, k=None):
+    """A normal (T, K) block, K = 0 allowed, with some columns zeroed and
+    some duplicated (a multiple of another column), or all zero."""
+    t = draw(st.integers(1, 30)) if t is None else t
+    k = draw(st.integers(0, 12)) if k is None else k
+    block = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(t, k))
+    if k and draw(st.booleans()):
+        block[:] = 0.0
+    for col in range(k):
+        action = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if action == "zero":
+            block[:, col] = 0.0
+        elif action == "copy":
+            block[:, col] = draw(st.sampled_from([1.0, -2.0, 0.5])) * block[:, draw(
+                st.integers(0, k - 1))]
+    return block
 
 
 class TestAnnihilate:
@@ -85,6 +106,27 @@ class TestAnnihilate:
     def test_row_mismatch_rejected(self):
         with pytest.raises(Exception, match="row mismatch"):
             annihilate(np.ones((4, 1)), np.ones((5, 1)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(block=random_blocks())
+    def test_matches_dense_oracle_with_its_rank(self, block):
+        x = np.random.default_rng(block.shape[1]).normal(size=(block.shape[0], 3))
+        out, rank = annihilate(block, x)
+        assert type(rank) is int
+        assert rank == (np.linalg.matrix_rank(block) if block.any() else 0)
+        assert np.abs(out - dense_annihilator(block) @ x).max() <= 1e-10
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(t=st.integers(1, 30), k=st.integers(0, 12), data=st.data())
+    def test_a_stack_is_its_single_spans_byte_for_byte(self, t, k, data):
+        stack = np.stack([data.draw(random_blocks(t, k)) for _ in range(data.draw(
+            st.integers(1, 5)))])
+        u, rank = _orthonormal_span(stack)
+        for b, block in enumerate(stack):
+            single_u, single_rank = _orthonormal_span(block)
+            assert rank[b] == single_rank
+            assert u[b].tobytes() == single_u.tobytes()
+            assert not u[b][:, single_rank:].any()
 
 
 def _default_basis(p):
@@ -196,6 +238,12 @@ class TestCcemgEstimate:
                 ccemg_estimate(make_panel(p.y, x))
             assert excinfo.value.unit == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_unit_grams_fail_the_gate_without_a_warning(self):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=0)).panel
+        with pytest.raises(SingularUnit):
+            ccemg_estimate(make_panel(1e154 * p.y, 1e154 * p.x))
+
 
 class TestEstimatePanelDispatch:
     def test_dispatch_matches_direct_calls(self, random_panel):
@@ -276,6 +324,7 @@ class TestProjectPanel:
         cols = EstimatorConfig().basis(p).matrix
         my, mx, rank = _project_panel(p, cols)
         u, want_rank = _orthonormal_span(cols)
+        u = u[:, :want_rank]
         assert rank == want_rank
         assert mx.tobytes() == _former_projection(u, p.x).tobytes()
         assert mx.flags.c_contiguous
@@ -284,8 +333,8 @@ class TestProjectPanel:
     def test_single_regressor_agrees_to_rounding(self, random_panel):
         p = random_panel(n=20, t=50, d=1, beta=(1.0,), seed=25)
         cols = EstimatorConfig().basis(p).matrix
-        _, mx, _ = _project_panel(p, cols)
-        u, _ = _orthonormal_span(cols)
+        _, mx, rank = _project_panel(p, cols)
+        u = _orthonormal_span(cols)[0][:, :rank]
         assert mx.flags.c_contiguous
         assert np.abs(mx - _former_projection(u, p.x)).max() <= 1e-14
 

@@ -415,6 +415,14 @@ class TestBatchedBootstrap:
             want = EstimatorConfig().estimate(make_panel(p.y[idx], p.x[idx])).beta
             assert np.abs(beta - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["ccemg", "ccep"])
+    def test_overflowing_grams_are_skipped_without_a_warning(self, method):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=0)).panel
+        with pytest.raises(TooManySkipped):
+            bootstrap_ci(make_panel(1e154 * p.y, 1e154 * p.x),
+                         BootstrapConfig(method=method, n_draws=9))
+
     def test_worker_counts_give_identical_draws_over_a_partial_chunk(self, random_panel,
                                                                      monkeypatch):
         p = random_panel(n=8, t=30, seed=36)

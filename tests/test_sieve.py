@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scce import (
     BasisFamily,
@@ -48,7 +50,9 @@ class TestComputeKnots:
         assert np.allclose(compute_knots(series, 4), [2.8, 4.6, 6.4, 8.2])
 
     def test_zero_knots(self):
-        assert compute_knots(np.arange(5.0), 0).size == 0
+        for j in (0, -1, -3):
+            knots = compute_knots(np.arange(5.0), j)
+            assert knots.size == 0 and knots.dtype == np.float64
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
@@ -187,17 +191,72 @@ class TestSieveStack:
         rng = np.random.default_rng(10)
         proxies = rng.normal(size=(4, 3, 40))
         proxies[1, 2, :30] = 0.5  # both knots of this column tie
-        stack, widths = _sieve_stack(proxies, BasisFamily(kind=kind), 2)
+        stack, widths, knots = _sieve_stack(proxies, BasisFamily(kind=kind), 2)
+        assert knots.shape == (4, 3, 2 if kind == BasisKind.CUBIC_SPLINE else 0)
         for b in range(4):
             single = build_sieve_matrix(proxy_from(proxies[b].T), BasisFamily(kind=kind), 2)
             live = stack[b].any(axis=0)
             assert widths[b] == single.n_columns == live.sum()
             assert stack[b][:, live].tobytes() == single.matrix.tobytes()
+            for got, want in zip(knots[b], single.knots):
+                assert got[np.isfinite(got)].tobytes() == want.tobytes()
         if kind == BasisKind.CUBIC_SPLINE:
             assert widths[1] == stack.shape[2] - 1
+            assert np.isinf(knots[1, 2, 1]) and np.isfinite(knots[[0, 2, 3]]).all()
 
     def test_overflow_is_left_for_the_caller(self):
         proxies = np.random.default_rng(11).normal(size=(2, 3, 20))
         proxies[1] *= 1e120
-        stack, _ = _sieve_stack(proxies, BasisFamily(), 2)
+        stack, _, _ = _sieve_stack(proxies, BasisFamily(), 2)
         assert np.isfinite(stack[0]).all() and not np.isfinite(stack[1]).all()
+
+
+def _quantile_knots(col, j):
+    return np.unique(np.quantile(col, np.arange(1, j + 1) / (j + 1)))
+
+
+def _reference_block(col, family, j):
+    """One column's basis from numpy's own polynomial routines, or for splines
+    ``spline_basis_vector`` at the deduplicated quantile knots."""
+    if family.kind == BasisKind.HERMITE:
+        return np.polynomial.hermite_e.hermevander(col, family.degree + j)
+    if family.kind == BasisKind.POWER_SERIES:
+        return np.vander(col, family.degree + j + 1, increasing=True)
+    knots = _quantile_knots(col, j)
+    return np.array([spline_basis_vector(v, knots) for v in col]).reshape(col.size, -1)
+
+
+@st.composite
+def tied_proxies(draw):
+    """A (T, C) proxy whose columns each repeat one value over a drawn stretch."""
+    t, c = draw(st.integers(4, 40)), draw(st.integers(1, 4))
+    values = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-2.5, 2.5, size=(t, c))
+    for r in range(c):
+        start, length = draw(st.integers(0, t - 1)), draw(st.integers(0, t))
+        values[start:start + length, r] = values[start, r]
+    return values
+
+
+class TestIndependentReferences:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(values=tied_proxies(), j=st.integers(0, 5),
+           family=st.sampled_from([BasisFamily(), BasisFamily(BasisKind.HERMITE, 3),
+                                   BasisFamily(BasisKind.HERMITE, 1),
+                                   BasisFamily(BasisKind.POWER_SERIES, 3),
+                                   BasisFamily(BasisKind.POWER_SERIES, 2)]))
+    def test_basis_matches_numpy_references(self, values, j, family):
+        basis = build_sieve_matrix(proxy_from(values), family, j)
+        blocks = [_reference_block(col, family, j) for col in values.T]
+        want = np.hstack(blocks)
+        assert basis.matrix.shape == want.shape
+        assert np.abs(basis.matrix - want).max() <= 1e-12 * np.abs(want).max()
+        tags = []
+        for block in blocks:
+            tags += [TAG_CONSTANT, TAG_LINEAR] + [TAG_NONLINEAR] * (block.shape[1] - 2)
+        assert basis.column_tags == tuple(tags)
+        for col, knots in zip(values.T, basis.knots):
+            want_knots = _quantile_knots(col, j)
+            assert compute_knots(col, j).tobytes() == want_knots.tobytes()
+            if family.kind != BasisKind.CUBIC_SPLINE:
+                want_knots = np.empty(0)
+            assert knots.tobytes() == want_knots.tobytes()

@@ -221,7 +221,7 @@ class TestMonteCarloRun:
         def no_replication(*args, **kwargs):
             raise AssertionError("a replication started")
 
-        monkeypatch.setattr(simulate, "replicate", no_replication)
+        monkeypatch.setattr(simulate, "pool_map", no_replication)
         with pytest.raises(ScceError, match="stream packing"):
             monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=2 ** 28 + 1)
         with pytest.raises(ScceError, match="stream packing"):
