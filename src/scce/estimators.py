@@ -1,22 +1,15 @@
 """Annihilator projections and the pooled / mean-group coefficient estimators.
 
-The sieve estimator projects the sieve basis out of each unit's data with a
-shared annihilator and solves the pooled normal equations; the CCEP and CCEMG
-baselines do the same with the linear proxy [1, F_hat]. The production path
-never materialises the T x T projection matrix: residuals are computed as
-X - U (U' X) from an orthonormal basis U of the projection columns. The
-bootstrap solves a chunk of resampled panels, given as unit weights, in one
-set of stacked products (``_estimate_reweighted``). Both paths share one
-sieve and knot rule (``_sieve_stack``), one span cutoff
-(``_orthonormal_span``) and one [1, F_hat] (``_linear_columns``). Only the
-arithmetic differs: the bootstrap's proxy, residual and Grams are GEMMs; the
-point estimate keeps the Kahan proxy and einsums, whose bits the linearity
-statistic would amplify past the benchmark's references if they moved.
-
-The panel's regressors are projected in a time-last (N, d, T) layout, so
-that the summed time axis is contiguous. The einsum then runs its fast
-contiguous loop while accumulating in the same order as over the (N, T, d)
-storage, so every result keeps its bits at d >= 2.
+Each estimator projects a column span out of every unit's [y, X] and solves
+the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
+[1, F_hat], pooled; CCEMG [1, F_hat], per unit and averaged. One kernel,
+``_estimate_reweighted``, solves a stack of panels, given as unit weights on
+one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
+one residual Z - U (U' Z) and their Grams; no T x T matrix is formed. A point
+estimate is its one-panel case, a chunk of bootstrap draws the general one.
+The only other solve is the linearity statistic's restricted CCEP fit
+(``_ccep_residuals``), whose residuals keep ``_project_panel``'s einsums
+because the statistic amplifies their last bits.
 """
 
 from __future__ import annotations
@@ -26,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScceError, SingularDesign, SingularUnit, TooSmall
+from .errors import NumericalError, ScceError, SingularDesign, SingularUnit, TooSmall
 from .panel import PanelData, cross_sectional_average
-from .sieve import (BasisFamily, BasisKind, KnotRate, SieveBasis, _sieve_stack,
-                    build_sieve_matrix, knot_count)
+from .sieve import _OVERFLOW as SIEVE_OVERFLOW, BasisFamily, BasisKind, KnotRate, SieveBasis
+from .sieve import _sieve_stack, build_sieve_matrix, knot_count
 
 __all__ = ["Method", "EstimationResult", "EstimatorConfig", "annihilate", "scce_estimate",
            "ccep_estimate", "ccemg_estimate", "estimate_panel"]
@@ -120,6 +113,20 @@ def _project_panel(p: PanelData, proj_columns: np.ndarray):
     return my, np.ascontiguousarray(xt.transpose(0, 2, 1)), int(rank)
 
 
+def _ccep_residuals(p: PanelData, linear: np.ndarray) -> np.ndarray:
+    """CCEP's eps_hat with columns ``linear`` = [1, F_hat], for the linearity
+    statistic: einsum projection and Gram, since the statistic turns a 2e-13
+    move in them into a 2e-6 move, past perfbench's rtol 1e-8 references."""
+    my, mx, rank = _project_panel(p, linear)
+    gram = np.zeros((1, 1, p.n_regressors + 1, p.n_regressors + 1))
+    gram[0, 0, 1:, 1:] = np.einsum("itk,itl->kl", mx, mx)
+    gram[0, 0, 1:, 0] = np.einsum("itk,it->k", mx, my)
+    beta, (error,), _ = _solve(Method.CCEP, p.n_periods, gram, None, [True], [rank], ())
+    if error is not None:
+        raise error
+    return my - np.einsum("itk,k->it", mx, beta[0])
+
+
 def _gate(gram: np.ndarray) -> np.ndarray:
     """Which matrices of a stack (..., d, d) are not finite or fail the eigenvalue gate."""
     finite = np.isfinite(gram).all(axis=(-2, -1))
@@ -127,51 +134,11 @@ def _gate(gram: np.ndarray) -> np.ndarray:
     return ~finite | (eigvals[..., -1] <= 0) | (eigvals[..., 0] <= _EIG_GATE * eigvals[..., -1])
 
 
-def _estimate(p: PanelData, proj_columns: np.ndarray, method: Method) -> EstimationResult:
-    """Annihilate ``proj_columns`` from every unit's y and X, then solve the
-    normal equations: pooled, or per unit and averaged for CCEMG."""
-    d = p.n_regressors
-    if method == Method.CCEP and p.n_periods < 2 * d + 3:
-        raise TooSmall(f"CCEP needs T >= {2 * d + 3}, got T={p.n_periods}")
-    my, mx, rank = _project_panel(p, proj_columns)
-    per_unit = None
-    if method == Method.CCEMG:
-        if p.n_periods - rank <= d:
-            raise TooSmall(f"CCEMG needs T - rank(proxy) > d; got T={p.n_periods}, "
-                           f"rank={rank}, d={d}")
-        # Stacked matmul, not einsum: it makes the same BLAS call per unit as
-        # mx[i].T @ mx[i], so the per-unit betas keep their bits.
-        mx_t = mx.transpose(0, 2, 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # _gate rejects inf
-            gram = mx_t @ mx
-        bad = np.flatnonzero(_gate(gram))
-        if bad.size:
-            raise SingularUnit(p.unit_labels[bad[0]])
-        per_unit = np.linalg.solve(gram, mx_t @ my[:, :, None])[:, :, 0]
-        beta = per_unit.mean(axis=0)
-    else:
-        gram = np.einsum("itk,itl->kl", mx, mx)
-        rhs = np.einsum("itk,it->k", mx, my)
-        if _gate(gram):
-            raise SingularDesign("Gram matrix fails the relative-eigenvalue gate; "
-                                 "design is collinear or T is too small relative to "
-                                 "the projection rank")
-        beta = np.linalg.solve(gram, rhs)
-    return EstimationResult(
-        beta=beta,
-        method=method,
-        eps_hat=my - np.einsum("itk,k->it", mx, beta),
-        v_hat=mx,
-        projection_rank=rank,
-        per_unit_betas=per_unit,
-    )
-
-
-def scce_estimate(p: PanelData, basis: SieveBasis) -> EstimationResult:
-    """Pooled estimator with the sieve basis as projection columns."""
-    if basis.matrix.shape[0] != p.n_periods:
-        raise ScceError("basis row count must equal the panel's T")
-    return _estimate(p, basis.matrix, Method.SCCE)
+def _stacked_yx(p: PanelData) -> np.ndarray:
+    """The panel's [y, X] as a C-contiguous (N, d + 1, T) array: its reshapes are views."""
+    z = np.empty((p.n_units, p.n_regressors + 1, p.n_periods))
+    z[:, 0], z[:, 1:] = p.y, p.x.transpose(0, 2, 1)
+    return z
 
 
 def _linear_columns(proxies: np.ndarray) -> np.ndarray:
@@ -180,18 +147,75 @@ def _linear_columns(proxies: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones(f.shape[:-1] + (1,)), f], axis=-1)
 
 
-def _linear_proxy_columns(p: PanelData) -> np.ndarray:
-    return _linear_columns(cross_sectional_average(p).values.T)
+def _solve(method: Method, t: int, grams: np.ndarray, w, finite, rank, labels) -> tuple:
+    """Gate and solve a (B, M, d + 1, d + 1) stack of Grams [y, X]' M [y, X],
+    per unit for CCEMG (M = N, unit weights ``w``), else pooled (M = 1): the
+    (B, d) betas (zero where a panel fails), each panel's ScceError or None,
+    and the CCEMG per-unit betas (else None).
+    """
+    d = grams.shape[-1] - 1
+    units = w > 0 if method == Method.CCEMG else np.ones(grams.shape[:2], dtype=bool)
+    blown = (units & ~np.isfinite(grams[..., 1:, :]).all(axis=(-2, -1))).any(axis=1)
+    bad = units & _gate(grams[..., 1:, 1:])
+
+    def error(ok, r, over, singular):  # the first that applies, in this order
+        if not ok:
+            return NumericalError(SIEVE_OVERFLOW)
+        if method == Method.CCEP and t < 2 * d + 3:
+            return TooSmall(f"CCEP needs T >= {2 * d + 3}, got T={t}")
+        if method == Method.CCEMG and t - r <= d:
+            return TooSmall(f"CCEMG needs T - rank(proxy) > d; got T={t}, rank={r}, d={d}")
+        if over:
+            return NumericalError("Gram matrix overflows: the data are too large; rescale the data")
+        if singular.any() and method == Method.CCEMG:
+            return SingularUnit(labels[np.argmax(singular)])
+        if singular.any():
+            return SingularDesign("Gram matrix fails the relative-eigenvalue gate; design is "
+                                  "collinear or T is too small relative to the projection rank")
+        return None
+
+    errors = [error(*draw) for draw in zip(finite, rank, blown, bad)]
+    solved = units & np.array([e is None for e in errors])[:, None]
+    per_unit = np.zeros(units.shape + (d,))
+    per_unit[solved] = np.linalg.solve(grams[solved, 1:, 1:], grams[solved, 1:, :1])[..., 0]
+    if method == Method.CCEMG:
+        return np.einsum("bi,bik->bk", w, per_unit) / w.shape[1], errors, per_unit
+    return per_unit[:, 0], errors, None
 
 
-def ccep_estimate(p: PanelData) -> EstimationResult:
-    """Pooled CCE: projection columns are an intercept plus the averages."""
-    return _estimate(p, _linear_proxy_columns(p), Method.CCEP)
+def _estimate_reweighted(method: Method, z: np.ndarray, w: np.ndarray, cols: np.ndarray,
+                         widths, labels) -> tuple:
+    """The estimation kernel: panel b repeats unit i w[b, i] times (rows of w
+    sum to N) and projects the span of cols[b] (``widths`` as in
+    ``_orthonormal_span``) out of z = [y, X] (``_stacked_yx``). Returns
+    ``_solve``'s betas and errors (``labels`` name the units), the (B,) ranks,
+    the (B, N, d + 1, T) projected [y, X] and the CCEMG per-unit betas."""
+    (n, d1, t), b = z.shape, len(w)
+    finite = np.isfinite(cols).all(axis=(1, 2))
+    u, rank = _orthonormal_span(np.where(finite[:, None, None], cols, 0.0), widths)
+    zr = z.reshape(n * d1, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve reports an overflow
+        resid = (zr @ u) @ u.transpose(0, 2, 1)
+        np.subtract(zr, resid, out=resid)
+        resid = resid.reshape(b, n, d1, t)
+        grams = resid @ resid.transpose(0, 1, 3, 2)  # per unit [y, X]' M [y, X]
+        grams[w == 0] = 0.0  # a unit a panel leaves out must not overflow its sum
+        if method != Method.CCEMG:
+            grams = np.einsum("bi,bikl->bkl", w, grams)[:, None]
+    beta, errors, per_unit = _solve(method, t, grams, w, finite, rank, labels)
+    return beta, errors, rank, resid, per_unit
 
 
-def ccemg_estimate(p: PanelData) -> EstimationResult:
-    """Mean-group CCE: average of per-unit estimates after projecting [1, F_hat]."""
-    return _estimate(p, _linear_proxy_columns(p), Method.CCEMG)
+def _fit(method: Method, p: PanelData, cols: np.ndarray, widths=None) -> EstimationResult:
+    """The kernel's B = 1, w = 1 case: estimate p with projection columns cols[0]."""
+    beta, (error,), rank, resid, per_unit = _estimate_reweighted(
+        method, _stacked_yx(p), np.ones((1, p.n_units)), cols, widths, p.unit_labels)
+    if error is not None:
+        raise error
+    my, mx = resid[0, :, 0], resid[0, :, 1:]  # copied, so that the stack is freed
+    return EstimationResult(beta[0], method, my - np.einsum("ikt,k->it", mx, beta[0]),
+                            np.ascontiguousarray(mx.transpose(0, 2, 1)), int(rank[0]),
+                            None if per_unit is None else per_unit[0])
 
 
 @dataclass(frozen=True)
@@ -223,73 +247,45 @@ class EstimatorConfig:
             raise ScceError("knot multiplier must be a positive integer")
         object.__setattr__(self, "knot_c", int(knot_c))
 
+    def columns(self, proxies: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The projection columns of a (B, C, T) stack of proxies and their
+        widths: the sieve for SCCE, [1, F_hat] for CCEP and CCEMG."""
+        if self.method != Method.SCCE:
+            return _linear_columns(proxies), None
+        j = knot_count(proxies.shape[-1], self.knot_c, self.knot_rate)
+        return _sieve_stack(proxies, self.family, j)[:2]
+
     def basis(self, p: PanelData) -> SieveBasis:
         """The sieve basis of the panel's own cross-sectional averages."""
         j = knot_count(p.n_periods, self.knot_c, self.knot_rate)
         return build_sieve_matrix(cross_sectional_average(p), self.family, j)
 
     def estimate(self, p: PanelData) -> EstimationResult:
-        """``estimate_panel`` with these settings."""
-        return estimate_panel(p, self.method, self.family, self.knot_c, self.knot_rate)
+        """Estimate the panel with the columns of its own (compensated-sum) proxy."""
+        return _fit(self.method, p, *self.columns(cross_sectional_average(p).values.T[None]))
 
 
-def _estimate_reweighted(config: EstimatorConfig, z: np.ndarray, w: np.ndarray) -> list:
-    """``config.estimate(q).beta`` for each panel q that repeats unit i w[b, i]
-    times (w is B x N, each row summing to N), or None where it would raise
-    ScceError. ``z`` is the panel's [y, X] in (N, d + 1, T) layout.
+def scce_estimate(p: PanelData, basis: SieveBasis) -> EstimationResult:
+    """Pooled estimator with the sieve basis as projection columns."""
+    if basis.matrix.shape[0] != p.n_periods:
+        raise ScceError("basis row count must equal the panel's T")
+    return _fit(Method.SCCE, p, basis.matrix[None])
 
-    The B panels are solved together: one GEMM for their proxies, one stacked
-    basis and span, one stacked residual Z - (Z U) U' that projects every
-    unit once, and the weighted Grams. The results agree with the per-panel
-    path to rounding (about 1e-13 relative).
-    """
-    n, d1, t = z.shape
-    d = d1 - 1
-    if config.method == Method.CCEP and t < 2 * d + 3:
-        return [None] * len(w)
-    proxies = (w @ z.reshape(n, -1) / n).reshape(-1, d1, t)
-    if config.method == Method.SCCE:
-        cols, widths, _ = _sieve_stack(proxies, config.family,
-                                       knot_count(t, config.knot_c, config.knot_rate))
-    else:
-        cols, widths = _linear_columns(proxies), None
-    # A basis that overflows raises NumericalError on the per-panel path.
-    finite = np.isfinite(cols).all(axis=(1, 2))
-    cols[~finite] = 0.0
-    u, rank = _orthonormal_span(cols, widths)
-    zr = z.reshape(n * d1, t)
-    with np.errstate(over="ignore", invalid="ignore"):  # _gate rejects inf
-        resid = (zr @ u) @ u.transpose(0, 2, 1)
-        np.subtract(zr, resid, out=resid)
-        resid = resid.reshape(len(w), n, d1, t)
-        grams = resid @ resid.transpose(0, 1, 3, 2)  # per unit [y, X]' M [y, X]
-    if config.method == Method.CCEMG:
-        present = w > 0
-        fits = finite & (t - rank > d) & ~(_gate(grams[:, :, 1:, 1:]) & present).any(axis=1)
-        solved = fits[:, None] & present
-        per_unit = np.zeros((len(w), n, d))
-        per_unit[solved] = np.linalg.solve(grams[solved, 1:, 1:], grams[solved, 1:, :1])[..., 0]
-        beta = np.einsum("bi,bik->bk", w, per_unit) / n
-    else:
-        pooled = np.einsum("bi,bikl->bkl", w, grams)
-        fits = finite & ~_gate(pooled[:, 1:, 1:])
-        beta = np.zeros((len(w), d))
-        beta[fits] = np.linalg.solve(pooled[fits, 1:, 1:], pooled[fits, 1:, :1])[..., 0]
-    return [b if fit else None for b, fit in zip(beta, fits)]
+
+def ccep_estimate(p: PanelData) -> EstimationResult:
+    """Pooled CCE: projection columns are an intercept plus the averages."""
+    return EstimatorConfig(Method.CCEP).estimate(p)
+
+
+def ccemg_estimate(p: PanelData) -> EstimationResult:
+    """Mean-group CCE: average of per-unit estimates after projecting [1, F_hat]."""
+    return EstimatorConfig(Method.CCEMG).estimate(p)
 
 
 def estimate_panel(p: PanelData, method: Method = EstimatorConfig.method,
                    family: BasisFamily = EstimatorConfig.family,
                    knot_c: int = EstimatorConfig.knot_c,
                    knot_rate: KnotRate = EstimatorConfig.knot_rate) -> EstimationResult:
-    """Run the configured estimator end to end on a panel.
-
-    For the sieve estimator this rebuilds the factor proxy, knots, and basis
-    from the panel; CCEP/CCEMG ignore the basis configuration.
-    """
-    method = Method(method)
-    if method == Method.CCEP:
-        return ccep_estimate(p)
-    if method == Method.CCEMG:
-        return ccemg_estimate(p)
-    return scce_estimate(p, EstimatorConfig(method, family, knot_c, knot_rate).basis(p))
+    """``EstimatorConfig(method, family, knot_c, knot_rate).estimate(p)``;
+    CCEP and CCEMG ignore the sieve settings."""
+    return EstimatorConfig(method, family, knot_c, knot_rate).estimate(p)

@@ -24,17 +24,9 @@ from .errors import (
     SingularSigmaV,
     WindowTooLarge,
 )
-from .estimators import (
-    EstimationResult,
-    EstimatorConfig,
-    Method,
-    _estimate,
-    _estimate_reweighted,
-    _gate,
-    _linear_proxy_columns,
-    annihilate,
-)
-from .panel import PanelData
+from .estimators import (EstimationResult, EstimatorConfig, _ccep_residuals, _estimate_reweighted,
+                         _gate, _linear_columns, _stacked_yx, annihilate)
+from .panel import PanelData, cross_sectional_average
 from .sieve import TAG_NONLINEAR, SieveBasis
 from .simulate import drop_skipped, pool_map, stream
 
@@ -172,26 +164,35 @@ class BootstrapConfig(EstimatorConfig):
             raise ScceError("confidence level must lie in (0, 1)")
 
 
+def _draw_betas(config: EstimatorConfig, z: np.ndarray, w: np.ndarray) -> list:
+    """``config.estimate(q).beta`` of each panel q that repeats unit i w[b, i]
+    times, or None where it raises; each q's proxy is w[b] Z / N."""
+    n, d1, t = z.shape
+    cols, widths = config.columns((w @ z.reshape(n, -1) / n).reshape(-1, d1, t))
+    beta, errors, *_ = _estimate_reweighted(config.method, z, w, cols, widths, range(n))
+    return [b if e is None else None for b, e in zip(beta, errors)]
+
+
 def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> BootstrapResult:
     """Pair bootstrap: resample whole units with replacement.
 
     Draw b takes its N unit indices from a counter-based stream keyed by
     (seed, b) and becomes the count of each unit among them: a unit weight.
     The draws are estimated in chunks of a fixed size set by the panel's size
-    (``_estimate_reweighted``), with the proxy, knots, basis and projection of
-    each draw's own resampled panel, so serial and parallel runs (over chunks)
+    (``_draw_betas``), with the proxy, knots, basis and projection of each
+    draw's own resampled panel, so serial and parallel runs (over chunks)
     give identical draws. Draws that fail are skipped and counted; more than
     1% skipped is an error.
     """
     n = p.n_units
-    z = np.concatenate([p.y[:, None, :], p.x.transpose(0, 2, 1)], axis=1)  # N x (d+1) x T
+    z = _stacked_yx(p)
     size = max(1, _CHUNK_BYTES // z.nbytes)
 
     def chunk(c: int) -> list:
         draws = range(c * size, min((c + 1) * size, config.n_draws))
         w = np.array([np.bincount(stream(config.seed, b).integers(0, n, size=n), minlength=n)
                       for b in draws], dtype=np.float64)
-        return _estimate_reweighted(config, z, w)
+        return _draw_betas(config, z, w)
 
     chunks = pool_map(chunk, -(-config.n_draws // size), config.max_workers)
     kept, skipped = drop_skipped([beta for c in chunks for beta in c])
@@ -235,8 +236,8 @@ def linearity_test(p: PanelData, basis: SieveBasis,
         window = 2 * default_hac_window(t)
     _check_window(window, t)
 
-    linear = _linear_proxy_columns(p)  # [1, F_hat]
-    resid = _estimate(p, linear, Method.CCEP).eps_hat  # N x T, orthogonal to [1, F_hat]
+    linear = _linear_columns(cross_sectional_average(p).values.T)  # [1, F_hat]
+    resid = _ccep_residuals(p, linear)  # N x T, orthogonal to [1, F_hat]
     q_cols, proxy_rank = annihilate(linear, nonlinear)
     q_rank = int(np.linalg.matrix_rank(q_cols))
     if np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(p.y)):

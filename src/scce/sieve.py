@@ -29,6 +29,8 @@ TAG_CONSTANT = "constant"
 TAG_LINEAR = "linear"
 TAG_NONLINEAR = "nonlinear"
 
+_OVERFLOW = "sieve basis overflows: the factor proxy is too large to expand; rescale the data"
+
 
 class BasisKind(str, enum.Enum):
     CUBIC_SPLINE = "cubic_spline"
@@ -186,8 +188,7 @@ def build_sieve_matrix(proxy: FactorProxy, family: BasisFamily = BasisFamily(),
     live[:, live.shape[1] - knots.shape[1]:] = np.isfinite(knots)  # drop tied knots
     matrix = stack[0][:, live.ravel()]
     if not np.isfinite(matrix).all():
-        raise NumericalError("sieve basis overflows: the factor proxy is too large to "
-                             "expand; rescale the data")
+        raise NumericalError(_OVERFLOW)
     kinds = [TAG_CONSTANT, TAG_LINEAR] + [TAG_NONLINEAR] * (live.shape[1] - 2)
     return SieveBasis(
         matrix=matrix,

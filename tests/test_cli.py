@@ -127,16 +127,20 @@ class TestEstimate:
                                "rescale the data\n"
 
     def test_overflowing_unit_grams_exit_3_with_one_line(self, tmp_path):
-        # Run as a program, so that a RuntimeWarning would reach stderr.
+        # Run as a program, so that a RuntimeWarning would reach stderr. The
+        # per-unit (ccemg) and pooled (ccep) Grams overflow; neither is
+        # reported as a collinear design.
         sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=0)).panel
         path = write_panel_csv(tmp_path / "big.csv", make_panel(1e154 * sp.y, 1e154 * sp.x))
         code = "import sys, scce.cli; sys.exit(scce.cli.main(sys.argv[1:]))"
         src = os.path.dirname(os.path.dirname(scce.__file__))
-        out = subprocess.run([sys.executable, "-c", code, "estimate", "--input", path,
-                              "--method", "ccemg"], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.returncode == EXIT_NUMERICAL_ERROR
-        assert (out.stdout, out.stderr) == ("", "error: unit-level regression singular for unit '0'\n")
+        for method in ("ccemg", "ccep"):
+            out = subprocess.run([sys.executable, "-c", code, "estimate", "--input", path,
+                                  "--method", method], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+            assert out.returncode == EXIT_NUMERICAL_ERROR
+            assert (out.stdout, out.stderr) == (
+                "", "error: Gram matrix overflows: the data are too large; rescale the data\n")
 
     def test_stray_linalg_error_exits_3_with_one_line(self, panel_csv, monkeypatch, capsys):
         def fail(*args, **kwargs):

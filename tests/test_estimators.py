@@ -18,10 +18,12 @@ from scce import (
     EstimatorConfig,
     KnotRate,
     Method,
+    NumericalError,
     ScceError,
     SieveBasis,
     SingularDesign,
     SingularUnit,
+    TooSmall,
     annihilate,
     build_sieve_matrix,
     ccemg_estimate,
@@ -32,7 +34,8 @@ from scce import (
     knot_count,
     scce_estimate,
 )
-from scce.estimators import _orthonormal_span, _project_panel
+from scce.estimators import (_estimate_reweighted, _orthonormal_span, _project_panel,
+                             _stacked_yx)
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR
 
 from conftest import dense_annihilator, make_panel
@@ -241,7 +244,7 @@ class TestCcemgEstimate:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_unit_grams_fail_the_gate_without_a_warning(self):
         p = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=0)).panel
-        with pytest.raises(SingularUnit):
+        with pytest.raises(NumericalError, match="rescale the data"):
             ccemg_estimate(make_panel(1e154 * p.y, 1e154 * p.x))
 
 
@@ -337,6 +340,120 @@ class TestProjectPanel:
         u = _orthonormal_span(cols)[0][:, :rank]
         assert mx.flags.c_contiguous
         assert np.abs(mx - _former_projection(u, p.x)).max() <= 1e-14
+
+
+def _failing_panel(kind):
+    """A 10-unit panel and the method that fails on it as ``_FAILURES[kind]`` says."""
+    rng = np.random.default_rng(40)
+    t = 6 if kind.startswith("too_small") else 30
+    x = rng.normal(size=(10, t, 2))
+    y = x @ np.array([1.0, -1.0]) + rng.normal(size=(10, t))
+    method = {"too_small_ccep": Method.CCEP, "too_small_ccemg": Method.CCEMG,
+              "singular_unit": Method.CCEMG, "gram_overflow": Method.CCEP}.get(kind, Method.SCCE)
+    if kind == "basis_overflow":
+        y *= 1e110  # the cubic terms of y's average overflow
+    elif kind == "gram_overflow":
+        y, x = 1e154 * y, 1e154 * x
+    elif kind == "singular_unit":
+        x[2] = 0.0
+    elif kind == "singular_design":
+        x[:] = 0.0
+    return make_panel(y, x), method
+
+
+_FAILURES = {
+    "basis_overflow": (NumericalError, "sieve basis overflows: the factor proxy is too large "
+                                       "to expand; rescale the data"),
+    "too_small_ccep": (TooSmall, "CCEP needs T >= 7, got T=6"),
+    "too_small_ccemg": (TooSmall, "CCEMG needs T - rank(proxy) > d; got T=6, rank=4, d=2"),
+    "gram_overflow": (NumericalError, "Gram matrix overflows: the data are too large; "
+                                      "rescale the data"),
+    "singular_unit": (SingularUnit, "unit-level regression singular for unit 2"),
+    "singular_design": (SingularDesign, "Gram matrix fails the relative-eigenvalue gate; "
+                                        "design is collinear or T is too small relative to "
+                                        "the projection rank"),
+}
+
+
+def _good_panel(t):
+    """10 units whose x2 come in +/- pairs: the x2 average is 0, so [1, F_hat]
+    has rank 3 and CCEMG fits at T = 6 where a generic panel has rank 4."""
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(10, t, 2))
+    x[5:, :, 1] = -x[:5, :, 1]
+    return make_panel(x @ np.array([1.0, -1.0]) + rng.normal(size=(10, t)), x)
+
+
+class TestKernel:
+    """``_estimate_reweighted`` is the only estimation kernel: a point estimate
+    is its one-panel case, and each panel of a stack fails on its own."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", list(_FAILURES))
+    def test_each_failure_keeps_its_class_and_message_and_its_draw(self, kind):
+        p, method = _failing_panel(kind)
+        cls, message = _FAILURES[kind]
+        with pytest.raises(cls) as raised:
+            EstimatorConfig(method).estimate(p)
+        assert type(raised.value) is cls and str(raised.value) == message
+        # A two-panel stack over [failing units, good units]: panel 0 repeats
+        # each failing unit twice and panel 1 each good unit.
+        good = _good_panel(p.n_periods)
+        z = np.concatenate([_stacked_yx(p), _stacked_yx(good)])
+        w = np.kron(np.eye(2), np.full(10, 2.0))
+        config = EstimatorConfig(method)
+        cols, widths = config.columns((w @ z.reshape(20, -1) / 20).reshape(2, 3, -1))
+        beta, errors, rank, _, _ = _estimate_reweighted(method, z, w, cols, widths, range(20))
+        assert type(errors[0]) is cls and str(errors[0]) == message
+        if kind == "too_small_ccep":  # a rule on T alone fails every panel
+            assert type(errors[1]) is cls
+            return
+        assert errors[1] is None
+        want = config.estimate(good)
+        assert rank[1] == want.projection_rank
+        assert np.abs(beta[1] - want.beta).max() <= 1e-12 * np.abs(want.beta).max()
+
+    def test_the_stacked_panel_is_contiguous_and_results_hold_no_view_of_it(self, random_panel):
+        p = random_panel(n=7, t=20, d=3, beta=(1.0, 2.0, 3.0), seed=42)
+        z = _stacked_yx(p)
+        assert z.flags.c_contiguous and z.shape == (7, 4, 20)
+        assert z[:, 0].tobytes() == p.y.tobytes()
+        assert z[:, 1:].tobytes() == np.ascontiguousarray(p.x.transpose(0, 2, 1)).tobytes()
+        for shape in ((7, -1), (28, 20)):
+            assert np.shares_memory(z.reshape(shape), z)
+        # A result owns its residuals, so it does not keep the stack alive.
+        result = EstimatorConfig().estimate(p)
+        assert result.v_hat.flags.c_contiguous
+        assert result.v_hat.base is None and result.eps_hat.base is None
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(n=st.integers(2, 12), t=st.integers(30, 60), d=st.integers(1, 3),
+           method=st.sampled_from(list(Method)), seed=st.integers(0, 2**16))
+    def test_matches_the_dense_oracle(self, n, t, d, method, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, t, d))
+        p = make_panel(x.sum(axis=2) + rng.normal(size=(n, t)), x)
+        config = EstimatorConfig(method)
+        if method == Method.SCCE:
+            a = config.basis(p).matrix
+        else:
+            a = np.hstack([np.ones((t, 1)), cross_sectional_average(p).values])
+        m = dense_annihilator(a)
+        my, mx = p.y @ m, np.einsum("st,isk->itk", m, p.x)
+        if method == Method.CCEMG:
+            per_unit = np.array([np.linalg.solve(mx[i].T @ mx[i], mx[i].T @ my[i])
+                                 for i in range(n)])
+            beta = per_unit.mean(axis=0)
+        else:
+            beta = np.linalg.solve(np.einsum("itk,itl->kl", mx, mx),
+                                   np.einsum("itk,it->k", mx, my))
+        got = config.estimate(p)
+        for name, want in (("beta", beta), ("eps_hat", my - mx @ beta), ("v_hat", mx)):
+            assert np.abs(getattr(got, name) - want).max() <= 1e-10, name
+        if method == Method.CCEMG:
+            assert np.abs(got.per_unit_betas - per_unit).max() <= 1e-10
+        else:
+            assert got.per_unit_betas is None
 
 
 class TestInvariants:

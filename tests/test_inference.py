@@ -47,7 +47,7 @@ from scce import (
     sigma_v_hat,
 )
 from scce import inference, simulate
-from scce.estimators import _estimate_reweighted
+from scce.inference import _draw_betas
 from scce.sieve import TAG_NONLINEAR
 from scce.simulate import Dgp, DgpConfig, generate_panel, stream
 
@@ -408,7 +408,7 @@ class TestBatchedBootstrap:
         p = make_panel(y, p.x)
         z = np.concatenate([p.y[:, None, :], p.x.transpose(0, 2, 1)], axis=1)
         rows = [[1] * 10, [3, 0, 0] + [1] * 7, [0, 2] + [1] * 8]
-        got = _estimate_reweighted(EstimatorConfig(), z, np.array(rows, dtype=float))
+        got = _draw_betas(EstimatorConfig(), z, np.array(rows, dtype=float))
         assert got[1] is None
         units = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 1, 2, 3, 4, 5, 6, 7, 8, 9]]
         for beta, idx in zip((got[0], got[2]), units):
