@@ -7,9 +7,6 @@ the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
 one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
 one residual Z - U (U' Z) and their Grams; no T x T matrix is formed. A point
 estimate is its one-panel case, a chunk of bootstrap draws the general one.
-The only other solve is the linearity statistic's restricted CCEP fit
-(``_ccep_residuals``), whose residuals keep ``_project_panel``'s einsums
-because the statistic amplifies their last bits.
 """
 
 from __future__ import annotations
@@ -95,36 +92,6 @@ def annihilate(columns: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int
     u, rank = _orthonormal_span(columns)
     u = u[:, :rank]
     return target - u @ (u.T @ target), int(rank)
-
-
-def _project_panel(p: PanelData, proj_columns: np.ndarray):
-    """Annihilate the projection columns from every unit's y and X."""
-    u, rank = _orthonormal_span(np.asarray(proj_columns, dtype=np.float64))
-    u = u[:, :rank]
-    # Apply I - U U' along the time axis; memory stays O(NTd + Tr).
-    my = p.y - (p.y @ u) @ u.T
-    # Time-last (N, d, T): each einsum sums over a contiguous axis, 5-10x
-    # faster than over the strided time axis of (N, T, d), in the same order,
-    # so the bits hold at d >= 2 (d = 1 moves in the last bit). The contiguous
-    # u' and the C-ordered result are part of that: their views change bits.
-    # .copy(), since at d = 1 ascontiguousarray would return read-only p.x.
-    xt = p.x.transpose(0, 2, 1).copy()
-    xt -= np.einsum("rt,ikr->ikt", np.ascontiguousarray(u.T), np.einsum("tr,ikt->ikr", u, xt))
-    return my, np.ascontiguousarray(xt.transpose(0, 2, 1)), int(rank)
-
-
-def _ccep_residuals(p: PanelData, linear: np.ndarray) -> np.ndarray:
-    """CCEP's eps_hat with columns ``linear`` = [1, F_hat], for the linearity
-    statistic: einsum projection and Gram, since the statistic turns a 2e-13
-    move in them into a 2e-6 move, past perfbench's rtol 1e-8 references."""
-    my, mx, rank = _project_panel(p, linear)
-    gram = np.zeros((1, 1, p.n_regressors + 1, p.n_regressors + 1))
-    gram[0, 0, 1:, 1:] = np.einsum("itk,itl->kl", mx, mx)
-    gram[0, 0, 1:, 0] = np.einsum("itk,it->k", mx, my)
-    beta, (error,), _ = _solve(Method.CCEP, p.n_periods, gram, None, [True], [rank], ())
-    if error is not None:
-        raise error
-    return my - np.einsum("itk,k->it", mx, beta[0])
 
 
 def _gate(gram: np.ndarray) -> np.ndarray:

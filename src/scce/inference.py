@@ -5,6 +5,8 @@ covariance, the sandwich covariance and standard errors, pair-bootstrap
 percentile confidence intervals, a score-type test of factor linearity, and
 an augmented Dickey-Fuller pretest with BIC lag selection. The HAC pads each
 unit's scores with L zeros, so each lag is one GEMM that pairs no two units.
+The linearity statistic's restricted CCEP fit, the one solve outside the
+kernel, keeps its own einsums here (``_restricted_residuals``).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .errors import (
     SingularSigmaV,
     WindowTooLarge,
 )
-from .estimators import (EstimationResult, EstimatorConfig, _ccep_residuals, _estimate_reweighted,
-                         _gate, _linear_columns, _stacked_yx, annihilate)
+from .estimators import (EstimationResult, EstimatorConfig, Method, _estimate_reweighted, _gate,
+                         _linear_columns, _orthonormal_span, _solve, _stacked_yx)
 from .panel import PanelData, cross_sectional_average
 from .sieve import TAG_NONLINEAR, SieveBasis
 from .simulate import drop_skipped, pool_map, stream
@@ -208,6 +210,34 @@ def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> B
     )
 
 
+def _project_panel(p: PanelData, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilate span(u), u an orthonormal (T, r) basis, from every unit's y and X."""
+    # Apply I - U U' along the time axis; memory stays O(NTd + Tr).
+    my = p.y - (p.y @ u) @ u.T
+    # Time-last (N, d, T): each einsum sums over a contiguous axis, 5-10x
+    # faster than over the strided time axis of (N, T, d), in the same order,
+    # so the bits hold at d >= 2 (d = 1 moves in the last bit). The contiguous
+    # u' and the C-ordered result are part of that: their views change bits.
+    # .copy(), since at d = 1 ascontiguousarray would return read-only p.x.
+    xt = p.x.transpose(0, 2, 1).copy()
+    xt -= np.einsum("rt,ikr->ikt", np.ascontiguousarray(u.T), np.einsum("tr,ikt->ikr", u, xt))
+    return my, np.ascontiguousarray(xt.transpose(0, 2, 1))
+
+
+def _restricted_residuals(p: PanelData, u: np.ndarray) -> np.ndarray:
+    """CCEP's eps_hat, u an orthonormal basis of [1, F_hat]: einsum projection
+    and Gram, since the statistic turns a 2e-13 move in them into a 2e-6 move,
+    past perfbench's rtol 1e-8 references; ``_solve`` keeps the kernel's rules."""
+    my, mx = _project_panel(p, u)
+    gram = np.zeros((1, 1, p.n_regressors + 1, p.n_regressors + 1))
+    gram[0, 0, 1:, 1:] = np.einsum("itk,itl->kl", mx, mx)
+    gram[0, 0, 1:, 0] = np.einsum("itk,it->k", mx, my)
+    beta, (error,), _ = _solve(Method.CCEP, p.n_periods, gram, None, [True], [u.shape[1]], ())
+    if error is not None:
+        raise error
+    return my - np.einsum("itk,k->it", mx, beta[0])
+
+
 def linearity_test(p: PanelData, basis: SieveBasis,
                    window: int | None = None) -> TestResult:
     """Score-type test that the nonlinear sieve columns are jointly irrelevant.
@@ -236,9 +266,10 @@ def linearity_test(p: PanelData, basis: SieveBasis,
         window = 2 * default_hac_window(t)
     _check_window(window, t)
 
-    linear = _linear_columns(cross_sectional_average(p).values.T)  # [1, F_hat]
-    resid = _ccep_residuals(p, linear)  # N x T, orthogonal to [1, F_hat]
-    q_cols, proxy_rank = annihilate(linear, nonlinear)
+    u, proxy_rank = _orthonormal_span(_linear_columns(cross_sectional_average(p).values.T))
+    u = u[:, :proxy_rank]  # [1, F_hat]
+    resid = _restricted_residuals(p, u)  # N x T, orthogonal to [1, F_hat]
+    q_cols = nonlinear - u @ (u.T @ nonlinear)  # annihilate's arithmetic
     q_rank = int(np.linalg.matrix_rank(q_cols))
     if np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(p.y)):
         # Exact fit: the quadratic form below is scale-invariant, so rounding

@@ -34,8 +34,8 @@ from scce import (
     knot_count,
     scce_estimate,
 )
-from scce.estimators import (_estimate_reweighted, _orthonormal_span, _project_panel,
-                             _stacked_yx)
+from scce.estimators import _estimate_reweighted, _orthonormal_span, _stacked_yx
+from scce.inference import _project_panel
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR
 
 from conftest import dense_annihilator, make_panel
@@ -324,20 +324,18 @@ def _former_projection(u, x):
 class TestProjectPanel:
     def test_time_last_layout_keeps_the_bits_at_two_regressors(self):
         p = generate_panel(DgpConfig(dgp=Dgp.E1, n=30, t=60, seed=24)).panel
-        cols = EstimatorConfig().basis(p).matrix
-        my, mx, rank = _project_panel(p, cols)
-        u, want_rank = _orthonormal_span(cols)
-        u = u[:, :want_rank]
-        assert rank == want_rank
+        u, rank = _orthonormal_span(EstimatorConfig().basis(p).matrix)
+        u = u[:, :rank]
+        my, mx = _project_panel(p, u)
         assert mx.tobytes() == _former_projection(u, p.x).tobytes()
         assert mx.flags.c_contiguous
         assert my.tobytes() == (p.y - (p.y @ u) @ u.T).tobytes()
 
     def test_single_regressor_agrees_to_rounding(self, random_panel):
         p = random_panel(n=20, t=50, d=1, beta=(1.0,), seed=25)
-        cols = EstimatorConfig().basis(p).matrix
-        _, mx, rank = _project_panel(p, cols)
-        u = _orthonormal_span(cols)[0][:, :rank]
+        u, rank = _orthonormal_span(EstimatorConfig().basis(p).matrix)
+        u = u[:, :rank]
+        _, mx = _project_panel(p, u)
         assert mx.flags.c_contiguous
         assert np.abs(mx - _former_projection(u, p.x)).max() <= 1e-14
 

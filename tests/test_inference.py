@@ -519,6 +519,22 @@ class TestLinearityTest:
         with pytest.raises(NoNonlinearColumns):
             linearity_test(p, stripped)
 
+    def test_one_span_serves_the_restricted_fit_and_the_tested_block(self, random_panel,
+                                                                     monkeypatch):
+        p = random_panel(n=6, t=40, seed=19)
+        basis = basis_for(p)
+        want = linearity_test(p, basis)
+        spans, span = [], inference._orthonormal_span
+
+        def counted(columns, *args):
+            spans.append(columns.shape)
+            return span(columns, *args)
+
+        monkeypatch.setattr(inference, "_orthonormal_span", counted)
+        got = linearity_test(p, basis)
+        assert spans == [(40, 4)]  # [1, F_hat] once, F_hat = [ybar, x1bar, x2bar]
+        assert (got.statistic, got.dof, got.p_value) == (want.statistic, want.dof, want.p_value)
+
     def test_window_too_large(self, random_panel):
         p = random_panel(n=6, t=40, seed=17)
         for window in (40, -1):
