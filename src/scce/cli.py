@@ -266,6 +266,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
     except ScceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR

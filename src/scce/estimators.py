@@ -132,6 +132,9 @@ def _solve(method: Method, t: int, grams: np.ndarray, w, finite, rank, labels) -
             return TooSmall(f"CCEP needs T >= {2 * d + 3}, got T={t}")
         if method == Method.CCEMG and t - r <= d:
             return TooSmall(f"CCEMG needs T - rank(proxy) > d; got T={t}, rank={r}, d={d}")
+        if r >= t:  # the residuals are rounding noise
+            return TooSmall(f"the projection spans all T periods (rank={r}, T={t}); "
+                            "use fewer knots")
         if over:
             return NumericalError("Gram matrix overflows: the data are too large; rescale the data")
         if singular.any() and method == Method.CCEMG:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DuplicateCell,
     NonFiniteValue,
+    NumericalError,
     PanelDataError,
     TooSmall,
     UnbalancedPanel,
@@ -85,13 +86,17 @@ class PanelData:
         """The ``cross_sectional_average``, each unit's [y_i, x_i] filled into one buffer."""
         total = np.zeros((self.n_periods, self.n_regressors + 1))
         comp, new, row = np.zeros_like(total), np.empty_like(total), np.empty_like(total)
-        for i in sorted(range(self.n_units), key=self.unit_labels.__getitem__):
-            row[:, 0], row[:, 1:] = self.y[i], self.x[i]
-            row -= comp
-            np.add(total, row, out=new)
-            np.subtract(new, total, out=comp)
-            comp -= row
-            total, new = new, total
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+            for i in sorted(range(self.n_units), key=self.unit_labels.__getitem__):
+                row[:, 0], row[:, 1:] = self.y[i], self.x[i]
+                row -= comp
+                np.add(total, row, out=new)
+                np.subtract(new, total, out=comp)
+                comp -= row
+                total, new = new, total
+        if not np.isfinite(total).all():
+            raise NumericalError("factor proxy overflows: the cross-sectional sums are too "
+                                 "large; rescale the data")
         return FactorProxy(values=total / self.n_units)
 
 

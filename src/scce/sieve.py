@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ScceError
+from .errors import NumericalError, ScceError, TooSmall
 from .panel import FactorProxy
 
 __all__ = ["BasisKind", "BasisFamily", "KnotRate", "SieveBasis",
@@ -93,7 +93,8 @@ class SieveBasis:
 
 
 def knot_count(t_periods: int, c_multiplier: int = 1, rate: KnotRate = KnotRate.QUARTER) -> int:
-    """Number of knots J = C * floor(T**(1/r)), never negative.
+    """Number of knots J = C * floor(T**(1/r)), never negative; J >= T raises
+    TooSmall, before any basis of that width is allocated.
 
     A tiny epsilon guards the floor against representation error at exact
     integer roots (e.g. T = 81 at the quarter rate).
@@ -102,7 +103,11 @@ def knot_count(t_periods: int, c_multiplier: int = 1, rate: KnotRate = KnotRate.
         raise ScceError(f"knot rule needs T >= 2, got {t_periods}")
     if c_multiplier < 1:
         raise ScceError("knot multiplier must be a positive integer")
-    return max(0, c_multiplier * math.floor(t_periods ** (1.0 / rate.root) + 1e-9))
+    j = max(0, c_multiplier * math.floor(t_periods ** (1.0 / rate.root) + 1e-9))
+    if j >= t_periods:
+        raise TooSmall(f"the knot rule asks for J={j} knots at T={t_periods}; J must be "
+                       "below T: use fewer knots")
+    return j
 
 
 def compute_knots(series: np.ndarray, j: int) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ScceError, TooManySkipped
 from .estimators import EstimatorConfig, Method
 from .panel import PanelData
+from .sieve import knot_count
 
 __all__ = ["Dgp", "FactorMode", "ErrorMode", "DgpConfig", "SimulatedPanel",
            "EstimatorConfig", "McCell", "McReport", "stream",
@@ -297,6 +298,9 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
         raise ScceError("need at least one replication")
     if reps > 1 << 28 or len(grid) > 1 << 12:
         raise ScceError("at most 2**28 replications and 2**12 grid cells fit the stream packing")
+    if estimator.method == Method.SCCE:  # an error of the design, not a skip of each draw
+        for _, t in grid:
+            knot_count(t, estimator.knot_c, estimator.knot_rate)
 
     cells = []
     for cell_idx, (n, t) in enumerate(grid):

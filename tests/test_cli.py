@@ -142,6 +142,33 @@ class TestEstimate:
             assert (out.stdout, out.stderr) == (
                 "", "error: Gram matrix overflows: the data are too large; rescale the data\n")
 
+    def test_a_proxy_too_short_for_adf_is_an_error_row(self, tmp_path, capsys):
+        sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=20, t=9, seed=4))
+        path = write_panel_csv(tmp_path / "short.csv", sp.panel)
+        assert main(["estimate", "--input", path, "--method", "ccep"]) == EXIT_OK
+        message = "ADF needs at least 10 observations, got 9"
+        assert json.loads(capsys.readouterr().out)["adf"] == [
+            {"column": name, "error": message} for name in ("ybar", "x1bar", "x2bar")]
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_proxy_that_overflows_exits_3_without_warnings(self, tmp_path, capsys):
+        sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=5)).panel
+        y = 1.5e308 + 1e306 * np.tanh(sp.y)
+        path = write_panel_csv(tmp_path / "near_max.csv", make_panel(y, sp.x))
+        assert main(["estimate", "--input", path]) == EXIT_NUMERICAL_ERROR
+        assert capsys.readouterr().err == "error: factor proxy overflows: the cross-sectional " \
+                                          "sums are too large; rescale the data\n"
+
+    def test_out_of_memory_exits_3_with_one_line(self, monkeypatch, capsys):
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(scce.cli, "monte_carlo_run", fail)
+        assert main(SIM) == EXIT_NUMERICAL_ERROR
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
     def test_stray_linalg_error_exits_3_with_one_line(self, panel_csv, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -189,6 +216,16 @@ CONFIG_ERRORS = [
      "time labels skip from 2001 to 2003; first differencing needs consecutive periods"),
     (["estimate", "--input", "{csv}", "--seed", "-1"], {},
      "seed must be a non-negative integer, got '-1'"),
+    (["estimate", "--input", "{csv}", "--seed", "7.5"], {},
+     "seed must be a non-negative integer, got '7.5'"),
+    (["estimate", "--input", "{csv}", "--knot-c", "3", "--no-adf"], {},
+     "the projection spans all T periods (rank=20, T=20); use fewer knots"),
+    (["estimate", "--input", "{csv}", "--knot-c", "40"], {},
+     "the knot rule asks for J=80 knots at T=20; J must be below T: use fewer knots"),
+    (["test-linearity", "--input", "{csv}", "--knot-c", "40"], {}, "J must be below T"),
+    (SIM + ["--t", "30", "--n", "20", "--knot-c", "40"], {},
+     "the knot rule asks for J=40 knots at T=10; J must be below T: use fewer knots"),
+    (["test-linearity", "--input", "{six_periods}"], {}, "CCEP needs T >= 7, got T=6"),
 ]
 
 
@@ -206,7 +243,10 @@ def test_bad_input_exits_2_with_one_line(argv, env, message, panel_csv, tmp_path
              "long_field": b"unit,time,y,x1\n0,0," + b"1" * (128 * 1024 + 1) + b",1\n",
              "narrow_row": b"unit,time,y,x1,x2\n0,0,1.0,2.0\n",
              "time_gap": b"unit,time,y,x1\n" + b"".join(
-                 b"%d,%d,%d,1\n" % (u, t, u + t) for u in (0, 1) for t in (2001, 2003, 2004, 2005))}
+                 b"%d,%d,%d,1\n" % (u, t, u + t) for u in (0, 1) for t in (2001, 2003, 2004, 2005)),
+             "six_periods": b"unit,time,y,x1,x2\n" + b"".join(  # CCEP needs T >= 7 at d = 2
+                 b"%d,%d,%d,%d,%d\n" % (u, t, u * t % 7, (u + t) % 5, u * u % 3)
+                 for u in range(10) for t in range(6))}
     paths = {"csv": panel_csv, "missing": str(tmp_path / "absent.csv"),
              "nodir": str(tmp_path / "nodir" / "out.json"), "link": str(tmp_path / "link.csv")}
     os.symlink(panel_csv, paths["link"])

@@ -169,6 +169,12 @@ class TestScceEstimate:
         with pytest.raises(SingularDesign):
             scce_estimate(zeroed, _default_basis(zeroed))
 
+    def test_basis_rows_must_equal_the_panel_periods(self, random_panel):
+        p = random_panel(n=6, t=30, seed=43)
+        basis = _default_basis(random_panel(n=6, t=31, seed=43))
+        with pytest.raises(ScceError, match="basis row count must equal the panel's T"):
+            scce_estimate(p, basis)
+
     def test_projection_rank_bounded(self):
         sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=6, t=30, seed=9))
         basis = _default_basis(sp.panel)
@@ -411,13 +417,33 @@ class TestKernel:
         assert rank[1] == want.projection_rank
         assert np.abs(beta[1] - want.beta).max() <= 1e-12 * np.abs(want.beta).max()
 
+    def test_a_projection_that_spans_all_periods_fails_only_its_draw(self):
+        # The residuals of such a projection are rounding noise, so a beta
+        # solved from them depends on the order of the sums.
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=20, t=20, seed=0)).panel
+        message = "the projection spans all T periods (rank=20, T=20); use fewer knots"
+        with pytest.raises(TooSmall) as raised:
+            EstimatorConfig(knot_c=3).estimate(p)
+        assert str(raised.value) == message
+        # Panel 0 projects the knot_c = 3 sieve, panel 1 [1, F_hat] padded with zeros.
+        sieve = EstimatorConfig(knot_c=3).basis(p).matrix
+        cols = np.zeros((2,) + sieve.shape)
+        cols[0], cols[1, :, :4] = sieve, np.hstack([np.ones((20, 1)),
+                                                    cross_sectional_average(p).values])
+        beta, errors, rank, _, _ = _estimate_reweighted(
+            Method.SCCE, _stacked_yx(p), np.ones((2, 20)), cols, None, p.unit_labels)
+        assert type(errors[0]) is TooSmall and str(errors[0]) == message
+        assert errors[1] is None and rank.tolist() == [20, 4]
+        want = ccep_estimate(p).beta
+        assert np.abs(beta[1] - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_the_stacked_panel_is_contiguous_and_results_hold_no_view_of_it(self, random_panel):
-        p = random_panel(n=7, t=20, d=3, beta=(1.0, 2.0, 3.0), seed=42)
+        p = random_panel(n=7, t=30, d=3, beta=(1.0, 2.0, 3.0), seed=42)
         z = _stacked_yx(p)
-        assert z.flags.c_contiguous and z.shape == (7, 4, 20)
+        assert z.flags.c_contiguous and z.shape == (7, 4, 30)
         assert z[:, 0].tobytes() == p.y.tobytes()
         assert z[:, 1:].tobytes() == np.ascontiguousarray(p.x.transpose(0, 2, 1)).tobytes()
-        for shape in ((7, -1), (28, 20)):
+        for shape in ((7, -1), (28, 30)):
             assert np.shares_memory(z.reshape(shape), z)
         # A result owns its residuals, so it does not keep the stack alive.
         result = EstimatorConfig().estimate(p)

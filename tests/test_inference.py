@@ -48,7 +48,7 @@ from scce import (
 )
 from scce import inference, simulate
 from scce.inference import _draw_betas
-from scce.sieve import TAG_NONLINEAR
+from scce.sieve import TAG_CONSTANT, TAG_LINEAR, TAG_NONLINEAR
 from scce.simulate import Dgp, DgpConfig, generate_panel, stream
 
 from conftest import make_panel
@@ -534,6 +534,16 @@ class TestLinearityTest:
         got = linearity_test(p, basis)
         assert spans == [(40, 4)]  # [1, F_hat] once, F_hat = [ybar, x1bar, x2bar]
         assert (got.statistic, got.dof, got.p_value) == (want.statistic, want.dof, want.p_value)
+
+    def test_nonlinear_columns_in_the_linear_span_leave_nothing_to_test(self, random_panel):
+        p = random_panel(n=6, t=40, seed=20)
+        ybar = cross_sectional_average(p).values[:, :1]
+        basis = SieveBasis(matrix=np.hstack([np.ones((40, 1)), ybar, np.zeros((40, 1))]),
+                           knots=(np.empty(0),), family=BasisFamily(), j_requested=0,
+                           column_tags=(TAG_CONSTANT, TAG_LINEAR, TAG_NONLINEAR))
+        with pytest.raises(NoNonlinearColumns,
+                           match="nonlinear columns lie entirely in the linear proxy span"):
+            linearity_test(p, basis)
 
     def test_window_too_large(self, random_panel):
         p = random_panel(n=6, t=40, seed=17)

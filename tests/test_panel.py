@@ -13,6 +13,7 @@ from scce import (
     EstimatorConfig,
     FactorProxy,
     NonFiniteValue,
+    NumericalError,
     PanelData,
     PanelDataError,
     TooSmall,
@@ -141,6 +142,14 @@ class TestCrossSectionalAverage:
             y=y, x=x, unit_labels=(0,), time_labels=(0, 1, 2)))
         assert np.array_equal(proxy.values[:, 0], y[0])
         assert np.array_equal(proxy.values[:, 1], x[0, :, 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_sums_that_overflow_raise_without_warnings(self):
+        y = np.full((3, 4), 1.5e308)
+        with pytest.raises(NumericalError, match="factor proxy overflows: the "
+                                                 "cross-sectional sums are too large; "
+                                                 "rescale the data"):
+            cross_sectional_average(make_panel(y, np.ones((3, 4, 1))))
 
     def test_two_unit_mean(self):
         y = np.array([[1.0, 1.0], [3.0, 3.0]])

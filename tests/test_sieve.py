@@ -11,6 +11,7 @@ from scce import (
     FactorProxy,
     KnotRate,
     NumericalError,
+    TooSmall,
     build_sieve_matrix,
     compute_knots,
     knot_count,
@@ -30,6 +31,13 @@ class TestKnotCount:
     ])
     def test_formula(self, t, c, rate, expected):
         assert knot_count(t, c, rate) == expected
+
+    @pytest.mark.parametrize("c", [15, 40, 10**6])
+    def test_as_many_knots_as_periods_is_too_small(self, c):
+        # J = 2C at T = 30; the check comes before any basis is built.
+        with pytest.raises(TooSmall, match=f"J={2 * c} knots at T=30; J must be below T"):
+            knot_count(30, c)
+        assert knot_count(30, 14) == 28
 
     def test_exact_integer_root_is_stable(self):
         # 81 ** 0.25 == 3 up to float representation; must not floor to 2.
@@ -217,13 +225,15 @@ def _quantile_knots(col, j):
 
 def _reference_block(col, family, j):
     """One column's basis from numpy's own polynomial routines, or for splines
-    ``spline_basis_vector`` at the deduplicated quantile knots."""
+    from the definition: 1, v, v^2, v^3, then (v - k)^3 where v > k, else 0,
+    at each deduplicated quantile knot k."""
     if family.kind == BasisKind.HERMITE:
         return np.polynomial.hermite_e.hermevander(col, family.degree + j)
     if family.kind == BasisKind.POWER_SERIES:
         return np.vander(col, family.degree + j + 1, increasing=True)
-    knots = _quantile_knots(col, j)
-    return np.array([spline_basis_vector(v, knots) for v in col]).reshape(col.size, -1)
+    rows = [[1.0, v, v * v, v * v * v] + [(v - k) ** 3 if v > k else 0.0
+                                          for k in _quantile_knots(col, j)] for v in col]
+    return np.array(rows).reshape(col.size, -1)
 
 
 @st.composite

@@ -20,6 +20,7 @@ from scce import (
     ScceError,
     SingularDesign,
     TooManySkipped,
+    TooSmall,
     ccep_estimate,
     generate_correlated_errors,
     generate_e1,
@@ -174,6 +175,15 @@ class TestCorrelatedErrors:
 
 
 class TestMonteCarloRun:
+    def test_too_many_knots_fail_before_any_replication(self, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulate, "generate_panel", no_draw)
+        with pytest.raises(TooSmall, match="J=80 knots at T=30; J must be below T"):
+            monte_carlo_run([(10, 256), (10, 30)], DgpConfig(dgp=Dgp.E1),
+                            EstimatorConfig(knot_c=40), reps=5)
+
     def test_single_rep_bias_equals_rmse(self):
         report = monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=1, seed=7)
         cell = report.cells[0]
