@@ -267,7 +267,7 @@ def linearity_test(p: PanelData, basis: SieveBasis,
     _check_window(window, t)
 
     u, proxy_rank = _orthonormal_span(_linear_columns(cross_sectional_average(p).values.T))
-    u = u[:, :proxy_rank]  # [1, F_hat]
+    u = u[:, :proxy_rank]  # an orthonormal basis of [1, F_hat]
     resid = _restricted_residuals(p, u)  # N x T, orthogonal to [1, F_hat]
     q_cols = nonlinear - u @ (u.T @ nonlinear)  # annihilate's arithmetic
     q_rank = int(np.linalg.matrix_rank(q_cols))

@@ -223,7 +223,7 @@ CONFIG_ERRORS = [
     (["estimate", "--input", "{csv}", "--knot-c", "40"], {},
      "the knot rule asks for J=80 knots at T=20; J must be below T: use fewer knots"),
     (["test-linearity", "--input", "{csv}", "--knot-c", "40"], {}, "J must be below T"),
-    (SIM + ["--t", "30", "--n", "20", "--knot-c", "40"], {},
+    (SIM + ["--knot-c", "40"], {},
      "the knot rule asks for J=40 knots at T=10; J must be below T: use fewer knots"),
     (["test-linearity", "--input", "{six_periods}"], {}, "CCEP needs T >= 7, got T=6"),
 ]
