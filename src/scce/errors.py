@@ -77,9 +77,14 @@ class NoNonlinearColumns(NumericalError):
 
 
 class TooManySkipped(NumericalError):
-    """More than the tolerated share of replications failed."""
+    """More than the tolerated share of replications (or bootstrap draws)
+    failed; the message quotes ``cause``, one error of the commonest class,
+    and ``count``, how many of the skips are of that class."""
 
-    def __init__(self, skipped, total):
+    def __init__(self, skipped, total, items="replications", cause=None, count=0):
         self.skipped = skipped
         self.total = total
-        super().__init__(f"{skipped} of {total} replications failed (> 1% tolerated)")
+        message = f"{skipped} of {total} {items} failed (> 1% tolerated)"
+        if cause is not None:
+            message += f"; most often ({count}) {type(cause).__name__}: {cause}"
+        super().__init__(message)

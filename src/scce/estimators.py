@@ -7,6 +7,8 @@ the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
 one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
 one residual Z - U (U' Z) and their Grams; no T x T matrix is formed. A point
 estimate is its one-panel case, a chunk of bootstrap draws the general one.
+Draws need no residuals: their Grams are the downdates Z'Z - C C', C = Z U,
+except where the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ __all__ = ["Method", "EstimationResult", "EstimatorConfig", "annihilate", "scce_
 
 # Relative eigenvalue gate for pooled and per-unit Gram matrices.
 _EIG_GATE = 1e-10
+# A downdated Gram Z'Z - C C' loses about log10(1 / r) digits, r being the
+# share of the regressors' sum of squares the projection keeps; at r <= this
+# floor a draw's Grams come from its residuals instead.
+_DOWNDATE_FLOOR = 1e-3
 
 
 class Method(str, enum.Enum):
@@ -153,22 +159,53 @@ def _solve(method: Method, t: int, grams: np.ndarray, w, finite, rank, labels) -
     return per_unit[:, 0], errors, None
 
 
+def _residual_grams(zr: np.ndarray, u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, N, d + 1, T) residuals Z - U (U' Z) of zr = Z (N(d + 1), T) on
+    each basis of a (B, T, K) stack u, and their per-unit Grams [y, X]' M [y, X]."""
+    resid = (zr @ u) @ u.transpose(0, 2, 1)
+    np.subtract(zr, resid, out=resid)
+    resid = resid.reshape(len(u), n, -1, zr.shape[1])
+    return resid, resid @ resid.transpose(0, 1, 3, 2)
+
+
+def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The per-unit Grams of ``_residual_grams`` as Z'Z - C C', C = Z U, with
+    no residual stack. Each draw whose regressors keep at most _DOWNDATE_FLOOR
+    of their sum of squares (pooled over its units, or in any of its units
+    for CCEMG), or whose downdate is not finite, takes the residual Grams."""
+    n, d1, t = z.shape
+    zr = z.reshape(n * d1, t)
+    c = (zr @ u).reshape(len(u), n, d1, -1)
+    raw = z @ z.transpose(0, 2, 1)
+    grams = raw - c @ c.transpose(0, 1, 3, 2)
+    kept = np.trace(grams[..., 1:, 1:], axis1=-2, axis2=-1)  # (B, N) tr(X_i' M X_i)
+    total = np.trace(raw[:, 1:, 1:], axis1=-2, axis2=-1)  # (N,) tr(X_i' X_i)
+    if method == Method.CCEMG:
+        low = ((w > 0) & ~(kept > _DOWNDATE_FLOOR * total)).any(axis=1)
+    else:
+        low = ~((w * kept).sum(axis=1) > _DOWNDATE_FLOOR * (w @ total))
+    if low.any():
+        grams[low] = _residual_grams(zr, u[low], n)[1]
+    return grams
+
+
 def _estimate_reweighted(method: Method, z: np.ndarray, w: np.ndarray, cols: np.ndarray,
-                         widths, labels) -> tuple:
+                         widths, labels, residuals: bool = True) -> tuple:
     """The estimation kernel: panel b repeats unit i w[b, i] times (rows of w
     sum to N) and projects the span of cols[b] (``widths`` as in
     ``_orthonormal_span``) out of z = [y, X] (``_stacked_yx``). Returns
     ``_solve``'s betas and errors (``labels`` name the units), the (B,) ranks,
-    the (B, N, d + 1, T) projected [y, X] and the CCEMG per-unit betas."""
-    (n, d1, t), b = z.shape, len(w)
+    the (B, N, d + 1, T) projected [y, X] (None unless ``residuals``, which
+    otherwise takes the Grams from ``_downdated_grams``) and the CCEMG
+    per-unit betas."""
+    n, d1, t = z.shape
     finite = np.isfinite(cols).all(axis=(1, 2))
     u, rank = _orthonormal_span(np.where(finite[:, None, None], cols, 0.0), widths)
-    zr = z.reshape(n * d1, t)
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports an overflow
-        resid = (zr @ u) @ u.transpose(0, 2, 1)
-        np.subtract(zr, resid, out=resid)
-        resid = resid.reshape(b, n, d1, t)
-        grams = resid @ resid.transpose(0, 1, 3, 2)  # per unit [y, X]' M [y, X]
+        if residuals:
+            resid, grams = _residual_grams(z.reshape(n * d1, t), u, n)
+        else:
+            resid, grams = None, _downdated_grams(method, z, w, u)
         grams[w == 0] = 0.0  # a unit a panel leaves out must not overflow its sum
         if method != Method.CCEMG:
             grams = np.einsum("bi,bikl->bkl", w, grams)[:, None]

@@ -36,9 +36,10 @@ __all__ = ["CovarianceEstimate", "BootstrapResult", "TestResult", "BootstrapConf
            "default_hac_window", "sigma_v_hat", "hac_theta", "sandwich_covariance",
            "bootstrap_ci", "linearity_test", "adf_test"]
 
-# Bytes of projected [y, X] one chunk of bootstrap draws holds, N(d+1)T
-# doubles per draw. Larger chunks run a little faster; this size keeps the
-# chunks of two pool threads to a few MB of peak memory.
+# Bytes one chunk of bootstrap draws holds: per draw, its (T, K) basis U and
+# the (N(d+1), K) product C = Z U that downdates its Grams, K(N(d+1) + T)
+# doubles. Larger chunks run a little faster; this size keeps the chunks of
+# two pool threads to a few MB of peak memory.
 _CHUNK_BYTES = 3 << 19
 
 # Large-T constant-case ADF critical values at the 1%, 5% and 10% levels.
@@ -168,11 +169,13 @@ class BootstrapConfig(EstimatorConfig):
 
 def _draw_betas(config: EstimatorConfig, z: np.ndarray, w: np.ndarray) -> list:
     """``config.estimate(q).beta`` of each panel q that repeats unit i w[b, i]
-    times, or None where it raises; each q's proxy is w[b] Z / N."""
+    times, or the ScceError it raises; each q's proxy is w[b] Z / N. The
+    kernel forms no residuals: its Grams are downdates."""
     n, d1, t = z.shape
     cols, widths = config.columns((w @ z.reshape(n, -1) / n).reshape(-1, d1, t))
-    beta, errors, *_ = _estimate_reweighted(config.method, z, w, cols, widths, range(n))
-    return [b if e is None else None for b, e in zip(beta, errors)]
+    beta, errors, *_ = _estimate_reweighted(config.method, z, w, cols, widths, range(n),
+                                            residuals=False)
+    return [b if e is None else e for b, e in zip(beta, errors)]
 
 
 def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> BootstrapResult:
@@ -180,15 +183,16 @@ def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> B
 
     Draw b takes its N unit indices from a counter-based stream keyed by
     (seed, b) and becomes the count of each unit among them: a unit weight.
-    The draws are estimated in chunks of a fixed size set by the panel's size
-    (``_draw_betas``), with the proxy, knots, basis and projection of each
-    draw's own resampled panel, so serial and parallel runs (over chunks)
-    give identical draws. Draws that fail are skipped and counted; more than
-    1% skipped is an error.
+    The draws are estimated in chunks (``_draw_betas``) of a fixed size set by
+    what a draw holds (``_CHUNK_BYTES``), with the proxy, knots, basis and
+    projection of each draw's own resampled panel, so serial and parallel
+    runs (over chunks) give identical draws. Draws that fail are skipped and
+    counted; more than 1% skipped is an error that names the commonest cause.
     """
-    n = p.n_units
     z = _stacked_yx(p)
-    size = max(1, _CHUNK_BYTES // z.nbytes)
+    n, d1, t = z.shape
+    k = config.columns(cross_sectional_average(p).values.T[None])[0].shape[-1]
+    size = max(1, _CHUNK_BYTES // (8 * k * (n * d1 + t)))
 
     def chunk(c: int) -> list:
         draws = range(c * size, min((c + 1) * size, config.n_draws))
@@ -197,7 +201,7 @@ def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> B
         return _draw_betas(config, z, w)
 
     chunks = pool_map(chunk, -(-config.n_draws // size), config.max_workers)
-    kept, skipped = drop_skipped([beta for c in chunks for beta in c])
+    kept, skipped = drop_skipped([beta for c in chunks for beta in c], "draws")
     draws = np.array(kept)
     alpha = (1.0 - config.level) / 2.0
     return BootstrapResult(

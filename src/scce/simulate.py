@@ -15,12 +15,13 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ScceError, TooManySkipped
+from .errors import PanelDataError, ScceError, TooManySkipped
 from .estimators import EstimatorConfig, Method
 from .panel import PanelData
 from .sieve import knot_count
@@ -123,14 +124,19 @@ def pool_map(fn, count: int, workers: int | None = None) -> list:
     return [fn(i) for i in range(count)]
 
 
-def drop_skipped(results: list) -> tuple[list, int]:
-    """The results that are not None, in order, and the count of those that
-    are: the skipped replications. Over 1% skipped raises TooManySkipped."""
-    kept = [r for r in results if r is not None]
-    skipped = len(results) - len(kept)
-    if skipped > _SKIP_TOLERANCE * len(results):
-        raise TooManySkipped(skipped, len(results))
-    return kept, skipped
+def drop_skipped(results: list, items: str = "replications") -> tuple[list, int]:
+    """The results that are not a ScceError, in order, and the count of those
+    that are: the skipped ``items``. Over 1% skipped raises TooManySkipped,
+    naming the commonest error class; if every item failed on a
+    PanelDataError, that error is raised instead."""
+    skips = [r for r in results if isinstance(r, ScceError)]
+    if len(skips) > _SKIP_TOLERANCE * len(results):
+        (cls, count), = Counter(type(e) for e in skips).most_common(1)
+        cause = next(e for e in skips if type(e) is cls)
+        if len(skips) == len(results) and all(isinstance(e, PanelDataError) for e in skips):
+            raise cause
+        raise TooManySkipped(len(skips), len(results), items, cause, count)
+    return [r for r in results if not isinstance(r, ScceError)], len(skips)
 
 
 def _draw_factors(rng: np.random.Generator, t: int, mode: FactorMode) -> np.ndarray:
@@ -304,13 +310,13 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
 
     cells = []
     for cell_idx, (n, t) in enumerate(grid):
-        def error(rep: int) -> np.ndarray | None:  # None: skipped; DGP errors propagate
+        def error(rep: int) -> np.ndarray | ScceError:  # DGP errors propagate
             sim = generate_panel(replace(dgp_config, n=n, t=t,
                                          seed=_pack_stream_seed(seed, cell_idx, rep)))
             try:
                 return estimator.estimate(sim.panel).beta - sim.beta
-            except ScceError:
-                return None
+            except ScceError as exc:  # a skip, counted by drop_skipped
+                return exc
 
         kept, skipped = drop_skipped(pool_map(error, reps))
         n_kept = len(kept)

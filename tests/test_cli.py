@@ -226,6 +226,9 @@ CONFIG_ERRORS = [
     (SIM + ["--knot-c", "40"], {},
      "the knot rule asks for J=40 knots at T=10; J must be below T: use fewer knots"),
     (["test-linearity", "--input", "{six_periods}"], {}, "CCEP needs T >= 7, got T=6"),
+    # Every replication raises TooSmall: its own line and exit 2, not TooManySkipped's exit 3.
+    (["simulate", "--dgp", "e1", "--n", "20", "--t", "20", "--knot-c", "3", "--reps", "5"], {},
+     "the projection spans all T periods (rank=20, T=20); use fewer knots"),
 ]
 
 

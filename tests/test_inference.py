@@ -330,9 +330,12 @@ def assert_draws_match(got, oracle, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-def chunk_bytes(p, draws):
-    """A chunk budget that holds ``draws`` draws of the panel ``p``."""
-    return draws * p.n_units * p.n_periods * (p.n_regressors + 1) * 8
+def chunk_bytes(p, draws, config=EstimatorConfig()):
+    """A chunk budget that holds ``draws`` draws of the panel ``p``: each holds
+    its (T, K) basis and the (N(d+1), K) product C = Z U, K the number of
+    ``config``'s columns on the panel's own proxy."""
+    k = config.columns(cross_sectional_average(p).values.T[None])[0].shape[-1]
+    return draws * 8 * k * (p.n_units * (p.n_regressors + 1) + p.n_periods)
 
 
 def partly_collinear_panel(seed, n=10, special=6, t=30):
@@ -344,6 +347,30 @@ def partly_collinear_panel(seed, n=10, special=6, t=30):
     return make_panel(x @ np.array([1.0, 1.0]) + rng.normal(size=(n, t)), x)
 
 
+def chunk_sizes(monkeypatch, p, config):
+    """The number of draws in each ``_draw_betas`` call of ``bootstrap_ci(p, config)``,
+    in the order the calls start (any order on more than one pool thread)."""
+    sizes = []
+
+    def counted(config, z, w):
+        sizes.append(len(w))
+        return _draw_betas(config, z, w)
+
+    monkeypatch.setattr(inference, "_draw_betas", counted)
+    bootstrap_ci(p, config)
+    return sizes
+
+
+def near_factor_panel(seed, n=30, t=40, s=1e-2):
+    """x_i = F Lambda_i + s * noise: the projection keeps about 4e-5 of the
+    regressors' sum of squares, so a downdated Gram would lose 4 to 5 digits."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(t, 2))
+    x = f @ (rng.normal(size=(n, 2, 2)) + np.eye(2)) + s * rng.normal(size=(n, t, 2))
+    y = x @ np.array([1.0, 1.0]) + (f @ rng.normal(size=(2, n))).T + rng.normal(size=(n, t))
+    return make_panel(y, x)
+
+
 class TestBatchedBootstrap:
     """The draws are solved in stacked chunks; each must equal a re-estimate
     of its resampled panel to rounding."""
@@ -353,6 +380,15 @@ class TestBatchedBootstrap:
     def test_draws_match_the_per_draw_oracle(self, method, kind):
         p = generate_panel(DgpConfig(dgp=Dgp.E1, n=30, t=40, seed=31)).panel
         config = BootstrapConfig(method=method, family=kind, n_draws=25, seed=4)
+        assert_draws_match(bootstrap_ci(p, config).draws, per_draw_oracle(p, config))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_regressors_almost_all_factor_match_the_oracle(self, method):
+        # Such draws take the residual Grams, not the downdated ones.
+        p = near_factor_panel(seed=0)
+        config = BootstrapConfig(method=method, n_draws=25, seed=4)
+        v = config.estimate(p).v_hat
+        assert (v ** 2).sum() / (p.x ** 2).sum() < 1e-4
         assert_draws_match(bootstrap_ci(p, config).draws, per_draw_oracle(p, config))
 
     def test_tied_knots_collapse_as_in_the_oracle(self, random_panel):
@@ -395,8 +431,12 @@ class TestBatchedBootstrap:
         oracle = per_draw_oracle(p, config)
         with pytest.raises(TooManySkipped) as failed:
             bootstrap_ci(p, config)
-        assert failed.value.skipped == sum(beta is None for beta in oracle)
+        skipped = sum(beta is None for beta in oracle)
+        assert failed.value.skipped == skipped
         assert 0 < failed.value.skipped < config.n_draws
+        assert str(failed.value) == (f"{skipped} of 40 draws failed (> 1% tolerated); most often "
+                                     f"({skipped}) SingularUnit: unit-level regression singular "
+                                     "for unit 3")
 
     def test_an_overflowing_draw_is_skipped_alone(self, random_panel):
         # Unit 0's y is so large that its cubic terms overflow when it is
@@ -409,7 +449,7 @@ class TestBatchedBootstrap:
         z = np.concatenate([p.y[:, None, :], p.x.transpose(0, 2, 1)], axis=1)
         rows = [[1] * 10, [3, 0, 0] + [1] * 7, [0, 2] + [1] * 8]
         got = _draw_betas(EstimatorConfig(), z, np.array(rows, dtype=float))
-        assert got[1] is None
+        assert isinstance(got[1], NumericalError)
         units = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 1, 2, 3, 4, 5, 6, 7, 8, 9]]
         for beta, idx in zip((got[0], got[2]), units):
             want = EstimatorConfig().estimate(make_panel(p.y[idx], p.x[idx])).beta
@@ -433,6 +473,23 @@ class TestBatchedBootstrap:
         config = BootstrapConfig(n_draws=20, seed=7)
         assert_draws_match(draws[0], per_draw_oracle(p, config))
 
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("draws, slack, calls", [(5, 0, 5), (5, -1, 6), (23, 0, 1),
+                                                     (0, 1, 23)])
+    def test_chunks_hold_as_many_draws_as_the_budget_pays_for(self, random_panel, monkeypatch,
+                                                             method, draws, slack, calls):
+        p = random_panel(n=8, t=30, seed=37)
+        config = BootstrapConfig(method=method, n_draws=23, seed=3)
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", chunk_bytes(p, draws, config) + slack)
+        sizes = chunk_sizes(monkeypatch, p, config)
+        assert len(sizes) == calls
+        assert sum(sizes) == 23 and len(set(sorted(sizes)[1:])) <= 1  # any call order
+
+    def test_the_default_budget_holds_23_draws_of_a_100_by_100_panel(self, monkeypatch):
+        # K = 3 (4 + 3) = 21 sieve columns, 8 K (N (d + 1) + T) = 67,200 bytes a draw.
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=100, t=100, seed=1)).panel
+        assert sorted(chunk_sizes(monkeypatch, p, BootstrapConfig(n_draws=60))) == [14, 23, 23]
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=20)
     @given(n=st.integers(1, 12), t=st.integers(8, 40), method=st.sampled_from(list(Method)),
            seed=st.integers(0, 2**16))
@@ -446,8 +503,8 @@ class TestBatchedBootstrap:
             config = BootstrapConfig(method=method, n_draws=11, seed=seed, max_workers=workers)
             try:
                 result = bootstrap_ci(p, config)
-            except TooManySkipped as exc:
-                return "skipped", exc.skipped
+            except ScceError as exc:  # TooManySkipped, or TooSmall when every draw raised it
+                return type(exc), str(exc)
             return result.draws.tobytes(), result.skipped
 
         original = inference._CHUNK_BYTES

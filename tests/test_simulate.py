@@ -184,6 +184,18 @@ class TestMonteCarloRun:
             monte_carlo_run([(10, 256), (10, 30)], DgpConfig(dgp=Dgp.E1),
                             EstimatorConfig(knot_c=40), reps=5)
 
+    def test_skips_are_counted_by_class_and_the_commonest_named(self):
+        beta = np.zeros(2)
+        assert simulate.drop_skipped([beta] * 100 + [SingularDesign("s")]) == ([beta] * 100, 1)
+        with pytest.raises(TooManySkipped, match=r"^3 of 4 replications failed \(> 1% "
+                                                 r"tolerated\); most often \(2\) SingularDesign: s$"):
+            simulate.drop_skipped([beta, TooSmall("t"), SingularDesign("s"), SingularDesign("u")])
+        # Only when every item failed on a data error is that error raised itself.
+        with pytest.raises(TooManySkipped, match=r"^3 of 3 draws .* \(2\) TooSmall: t$"):
+            simulate.drop_skipped([TooSmall("t"), SingularDesign("s"), TooSmall("u")], "draws")
+        with pytest.raises(TooSmall, match="^t$"):
+            simulate.drop_skipped([TooSmall("t"), TooSmall("u")], "draws")
+
     def test_single_rep_bias_equals_rmse(self):
         report = monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=1, seed=7)
         cell = report.cells[0]
