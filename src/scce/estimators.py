@@ -29,8 +29,9 @@ __all__ = ["Method", "EstimationResult", "EstimatorConfig", "annihilate", "scce_
 # Relative eigenvalue gate for pooled and per-unit Gram matrices.
 _EIG_GATE = 1e-10
 # A downdated Gram Z'Z - C C' loses about log10(1 / r) digits, r being the
-# share of the regressors' sum of squares the projection keeps; at r <= this
-# floor a draw's Grams come from its residuals instead.
+# share of the regressors' sum of squares the projection keeps (for CCEMG, in
+# a unit's weakest direction); at r <= this floor a draw's Grams come from
+# its residuals instead.
 _DOWNDATE_FLOOR = 1e-3
 
 
@@ -170,19 +171,23 @@ def _residual_grams(zr: np.ndarray, u: np.ndarray, n: int) -> tuple[np.ndarray, 
 
 def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The per-unit Grams of ``_residual_grams`` as Z'Z - C C', C = Z U, with
-    no residual stack. Each draw whose regressors keep at most _DOWNDATE_FLOOR
-    of their sum of squares (pooled over its units, or in any of its units
-    for CCEMG), or whose downdate is not finite, takes the residual Grams."""
+    no residual stack. A draw takes the residual Grams where its downdate is
+    not finite or keeps at most _DOWNDATE_FLOOR of tr(X'X): pooled, in the
+    trace tr(X'MX) summed over its units; for CCEMG, in the smallest
+    eigenvalue of any of its units' X_i'MX_i, since each unit is solved alone."""
     n, d1, t = z.shape
     zr = z.reshape(n * d1, t)
     c = (zr @ u).reshape(len(u), n, d1, -1)
     raw = z @ z.transpose(0, 2, 1)
     grams = raw - c @ c.transpose(0, 1, 3, 2)
-    kept = np.trace(grams[..., 1:, 1:], axis1=-2, axis2=-1)  # (B, N) tr(X_i' M X_i)
     total = np.trace(raw[:, 1:, 1:], axis1=-2, axis2=-1)  # (N,) tr(X_i' X_i)
-    if method == Method.CCEMG:
-        low = ((w > 0) & ~(kept > _DOWNDATE_FLOOR * total)).any(axis=1)
+    if method == Method.CCEMG:  # lambda_min <= trace: this also bounds what the trace keeps
+        xm = grams[..., 1:, 1:]
+        finite = np.isfinite(xm).all(axis=(-2, -1))
+        least = np.linalg.eigvalsh(np.where(finite[..., None, None], xm, 0.0))[..., 0]
+        low = ((w > 0) & ~(finite & (least > _DOWNDATE_FLOOR * total))).any(axis=1)
     else:
+        kept = np.trace(grams[..., 1:, 1:], axis1=-2, axis2=-1)  # (B, N) tr(X_i' M X_i)
         low = ~((w * kept).sum(axis=1) > _DOWNDATE_FLOOR * (w @ total))
     if low.any():
         grams[low] = _residual_grams(zr, u[low], n)[1]

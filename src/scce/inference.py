@@ -7,6 +7,10 @@ an augmented Dickey-Fuller pretest with BIC lag selection. The HAC pads each
 unit's scores with L zeros, so each lag is one GEMM that pairs no two units.
 The linearity statistic's restricted CCEP fit, the one solve outside the
 kernel, keeps its own einsums here (``_restricted_residuals``).
+
+Only numpy is imported at module level. ``linearity_test`` imports
+``scipy.special.chdtrc`` for its p-value on its first call, so importing the
+package, estimating and simulating load no scipy module.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import (
     DegenerateSeries,
@@ -298,6 +301,8 @@ def linearity_test(p: PanelData, basis: SieveBasis,
     statistic = float(np.einsum("iq,qr,ir->", scores, cov_pinv, scores)) / t
     statistic = max(statistic, 0.0)
     dof = (n - 1) * q_rank
+    from scipy.special import chdtrc  # here, so that only this test pays scipy's import
+
     p_value = float(chdtrc(dof, statistic))
     return TestResult(
         statistic=statistic,

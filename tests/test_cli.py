@@ -275,6 +275,50 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout == "False\n"
 
 
+# Runs ``cli.main`` on each argv of a JSON list in a fresh interpreter and
+# prints the scipy modules loaded after the imports and after each run; with
+# "preload", scipy.special is imported first, as a module-level import did.
+_COLD_RUN = """
+import json, sys
+if sys.argv[1] == "preload":
+    import scipy.special
+import scce, scce.cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded()))
+for argv in json.loads(sys.argv[2]):
+    assert scce.cli.main(argv) == 0
+    print(json.dumps(loaded()))
+"""
+
+
+def cold_run(*argvs, preload=False):
+    src = os.path.dirname(os.path.dirname(scce.__file__))
+    out = subprocess.run([sys.executable, "-c", _COLD_RUN, "preload" if preload else "cold",
+                          json.dumps(argvs)], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def test_estimate_and_simulate_load_no_scipy_module(panel_csv, tmp_path):
+    loaded = cold_run(
+        ["estimate", "--input", panel_csv, "--bootstrap", "19", "--output", str(tmp_path / "e")],
+        ["simulate", "--dgp", "e1", "--n", "10", "--t", "20", "--reps", "3",
+         "--output", str(tmp_path / "s")])
+    assert loaded == [[], [], []]
+    assert (tmp_path / "e").stat().st_size and (tmp_path / "s").stat().st_size
+
+
+def test_linearity_imports_scipy_special_and_keeps_its_bytes(panel_csv, tmp_path):
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    before, after = cold_run(["test-linearity", "--input", panel_csv, "--output", str(cold)])
+    assert before == [] and "scipy.special" in after
+    cold_run(["test-linearity", "--input", panel_csv, "--output", str(warm)], preload=True)
+    assert cold.read_bytes() == warm.read_bytes()
+    got, want = json.loads(cold.read_bytes()), json.loads(warm.read_bytes())
+    for key in ("statistic", "p_value"):
+        assert float.hex(got[key]) == float.hex(want[key])
+
+
 class TestSimulate:
     def test_csv_report_contract(self, capsys):
         assert main(["simulate", "--dgp", "e1", "--n", "10", "--t", "20",

@@ -362,11 +362,13 @@ def chunk_sizes(monkeypatch, p, config):
 
 
 def near_factor_panel(seed, n=30, t=40, s=1e-2):
-    """x_i = F Lambda_i + s * noise: the projection keeps about 4e-5 of the
-    regressors' sum of squares, so a downdated Gram would lose 4 to 5 digits."""
+    """x_i = F Lambda_i + s_i * noise, ``s`` one scale or one per unit: at
+    s = 1e-2 the projection keeps about 4e-5 of the regressors' sum of
+    squares, so a downdated Gram would lose 4 to 5 digits."""
     rng = np.random.default_rng(seed)
     f = rng.normal(size=(t, 2))
-    x = f @ (rng.normal(size=(n, 2, 2)) + np.eye(2)) + s * rng.normal(size=(n, t, 2))
+    x = f @ (rng.normal(size=(n, 2, 2)) + np.eye(2))
+    x += np.reshape(s, (-1, 1, 1)) * rng.normal(size=(n, t, 2))
     y = x @ np.array([1.0, 1.0]) + (f @ rng.normal(size=(2, n))).T + rng.normal(size=(n, t))
     return make_panel(y, x)
 
@@ -382,13 +384,23 @@ class TestBatchedBootstrap:
         config = BootstrapConfig(method=method, family=kind, n_draws=25, seed=4)
         assert_draws_match(bootstrap_ci(p, config).draws, per_draw_oracle(p, config))
 
-    @pytest.mark.parametrize("method", list(Method))
-    def test_regressors_almost_all_factor_match_the_oracle(self, method):
+    @pytest.mark.parametrize("method, case", [
+        *(pytest.param(m, "every_unit", id=m.value) for m in Method),
+        *(pytest.param(m, "one_unit", id=f"{m.value}-one_unit_one_direction") for m in Method)])
+    def test_regressors_almost_all_factor_match_the_oracle(self, method, case):
         # Such draws take the residual Grams, not the downdated ones.
-        p = near_factor_panel(seed=0)
+        if case == "every_unit":
+            p = near_factor_panel(seed=0)
+        else:  # unit 0 keeps 2% of its sum of squares, nearly all in one direction
+            p = near_factor_panel(seed=1, s=np.r_[1e-3, np.ones(29)])
         config = BootstrapConfig(method=method, n_draws=25, seed=4)
         v = config.estimate(p).v_hat
-        assert (v ** 2).sum() / (p.x ** 2).sum() < 1e-4
+        if case == "every_unit":
+            assert (v ** 2).sum() / (p.x ** 2).sum() < 1e-4
+        else:
+            total = (p.x[0] ** 2).sum()
+            assert (v[0] ** 2).sum() / total > 1e-2
+            assert np.linalg.eigvalsh(v[0].T @ v[0])[0] / total < 1e-5
         assert_draws_match(bootstrap_ci(p, config).draws, per_draw_oracle(p, config))
 
     def test_tied_knots_collapse_as_in_the_oracle(self, random_panel):
