@@ -6,9 +6,9 @@ the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
 ``_estimate_reweighted``, solves a stack of panels, given as unit weights on
 one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
 one residual Z - U (U' Z) and their Grams; no T x T matrix is formed. A point
-estimate is its one-panel case, a chunk of bootstrap draws the general one.
-Draws need no residuals: their Grams are the downdates Z'Z - C C', C = Z U,
-except where the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
+estimate is its one-panel case. Bootstrap draws and Monte Carlo replications
+need only betas (``draw_betas``): their Grams are the downdates Z'Z - C C',
+C = Z U, except where the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
 """
 
 from __future__ import annotations
@@ -266,6 +266,16 @@ class EstimatorConfig:
             return _linear_columns(proxies), None
         j = knot_count(proxies.shape[-1], self.knot_c, self.knot_rate)
         return _sieve_stack(proxies, self.family, j)[:2]
+
+    def draw_betas(self, z: np.ndarray, w: np.ndarray) -> list:
+        """``self.estimate(q).beta`` of each panel q that repeats unit i of z
+        (``_stacked_yx``) w[b, i] times, or its ScceError; q's proxy is the
+        plain mean w[b] Z / N, and its Grams are downdates, with no residuals."""
+        n, d1, t = z.shape
+        cols, widths = self.columns((w @ z.reshape(n, -1) / n).reshape(-1, d1, t))
+        beta, errors, *_ = _estimate_reweighted(self.method, z, w, cols, widths, range(n),
+                                                residuals=False)
+        return [b if e is None else e for b, e in zip(beta, errors)]
 
     def basis(self, p: PanelData) -> SieveBasis:
         """The sieve basis of the panel's own cross-sectional averages."""

@@ -29,8 +29,8 @@ from .errors import (
     SingularSigmaV,
     WindowTooLarge,
 )
-from .estimators import (EstimationResult, EstimatorConfig, Method, _estimate_reweighted, _gate,
-                         _linear_columns, _orthonormal_span, _solve, _stacked_yx)
+from .estimators import (EstimationResult, EstimatorConfig, Method, _gate, _linear_columns,
+                         _orthonormal_span, _solve, _stacked_yx)
 from .panel import PanelData, cross_sectional_average
 from .sieve import TAG_NONLINEAR, SieveBasis
 from .simulate import drop_skipped, pool_map, stream
@@ -170,23 +170,12 @@ class BootstrapConfig(EstimatorConfig):
             raise ScceError("confidence level must lie in (0, 1)")
 
 
-def _draw_betas(config: EstimatorConfig, z: np.ndarray, w: np.ndarray) -> list:
-    """``config.estimate(q).beta`` of each panel q that repeats unit i w[b, i]
-    times, or the ScceError it raises; each q's proxy is w[b] Z / N. The
-    kernel forms no residuals: its Grams are downdates."""
-    n, d1, t = z.shape
-    cols, widths = config.columns((w @ z.reshape(n, -1) / n).reshape(-1, d1, t))
-    beta, errors, *_ = _estimate_reweighted(config.method, z, w, cols, widths, range(n),
-                                            residuals=False)
-    return [b if e is None else e for b, e in zip(beta, errors)]
-
-
 def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> BootstrapResult:
     """Pair bootstrap: resample whole units with replacement.
 
     Draw b takes its N unit indices from a counter-based stream keyed by
     (seed, b) and becomes the count of each unit among them: a unit weight.
-    The draws are estimated in chunks (``_draw_betas``) of a fixed size set by
+    The draws are estimated in chunks (``draw_betas``) of a fixed size set by
     what a draw holds (``_CHUNK_BYTES``), with the proxy, knots, basis and
     projection of each draw's own resampled panel, so serial and parallel
     runs (over chunks) give identical draws. Draws that fail are skipped and
@@ -201,7 +190,7 @@ def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> B
         draws = range(c * size, min((c + 1) * size, config.n_draws))
         w = np.array([np.bincount(stream(config.seed, b).integers(0, n, size=n), minlength=n)
                       for b in draws], dtype=np.float64)
-        return _draw_betas(config, z, w)
+        return config.draw_betas(z, w)
 
     chunks = pool_map(chunk, -(-config.n_draws // size), config.max_workers)
     kept, skipped = drop_skipped([beta for c in chunks for beta in c], "draws")

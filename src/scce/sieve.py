@@ -140,12 +140,13 @@ def spline_basis_vector(value: float, knots: np.ndarray) -> np.ndarray:
 
 def _spline_block(col: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """[1, v, v^2, v^3, (v - k_1)_+^3, ...] of each entry of ``col`` (..., T) at
-    ``knots`` (..., J): shape (..., T, 4 + J)."""
-    poly = col[..., None] ** np.arange(4)
-    if knots.shape[-1] == 0:
-        return poly
-    trunc = np.maximum(col[..., :, None] - knots[..., None, :], 0.0) ** 3
-    return np.concatenate([poly, trunc], axis=-1)
+    ``knots`` (..., J): shape (..., T, 4 + J); pow only where it changes a value."""
+    out = np.empty(col.shape + (4 + knots.shape[-1],))
+    out[..., 0], out[..., 1] = 1.0, col
+    out[..., 2:4] = col[..., None] ** np.arange(2, 4)  # pow's bits: v * v may differ
+    trunc = np.maximum(col[..., :, None] - knots[..., None, :], 0.0, out=out[..., 4:])
+    np.power(trunc, 3, out=trunc, where=trunc > 0)  # zeros, NaN and inf are their own cube
+    return out
 
 
 def _hermite_block(col: np.ndarray, max_degree: int) -> np.ndarray:

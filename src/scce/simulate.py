@@ -5,9 +5,9 @@ products, exponentials, and sine transforms of two common factors, and a
 linear counterpart. Robustness knobs cover random-walk factors, serially and
 cross-sectionally correlated errors, and alternative knot rules.
 
-All randomness flows through counter-based Philox streams keyed by
-(seed, cell, replication), so replications are independent of execution
-order and parallel runs reproduce serial ones bit for bit.
+Each replication draws from Philox streams spawned from (seed, cell, replication),
+so runs reproduce bit for bit in any order or thread count, and is the kernel's
+one-draw, beta-only case with the plain-mean proxy (``draw_betas``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PanelDataError, ScceError, TooManySkipped
-from .estimators import EstimatorConfig, Method
+from .estimators import EstimatorConfig, Method, _stacked_yx
 from .panel import PanelData
 from .sieve import knot_count
 
@@ -295,9 +295,11 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
     """Simulate, estimate, and aggregate over a grid of panel sizes.
 
     ``dgp_config`` acts as a template; its n, t, and seed fields are replaced
-    per cell and replication. Replication r of cell c runs on the Philox
-    stream (seed, c, r). Aggregation uses exact (fsum) summation in
-    replication order, so the report is identical under any thread count.
+    per cell and replication. Replication r of cell c draws its panel from
+    the entropy ``_pack_stream_seed(seed, c, r)``, which ``generate_panel``
+    spawns into its sub-streams, and estimates it as one ``draw_betas`` draw.
+    Aggregation uses exact (fsum) summation in replication order, so the
+    report is identical under any thread count.
     """
     grid = [(int(n), int(t)) for n, t in grid]
     if reps < 1:
@@ -310,13 +312,11 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
 
     cells = []
     for cell_idx, (n, t) in enumerate(grid):
-        def error(rep: int) -> np.ndarray | ScceError:  # DGP errors propagate
+        def error(rep: int) -> np.ndarray | ScceError:  # a rejected draw is a skip
             sim = generate_panel(replace(dgp_config, n=n, t=t,
                                          seed=_pack_stream_seed(seed, cell_idx, rep)))
-            try:
-                return estimator.estimate(sim.panel).beta - sim.beta
-            except ScceError as exc:  # a skip, counted by drop_skipped
-                return exc
+            beta = estimator.draw_betas(_stacked_yx(sim.panel), np.ones((1, n)))[0]
+            return beta if isinstance(beta, ScceError) else beta - sim.beta
 
         kept, skipped = drop_skipped(pool_map(error, reps))
         n_kept = len(kept)

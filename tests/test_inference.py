@@ -47,7 +47,6 @@ from scce import (
     sigma_v_hat,
 )
 from scce import inference, simulate
-from scce.inference import _draw_betas
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR, TAG_NONLINEAR
 from scce.simulate import Dgp, DgpConfig, generate_panel, stream
 
@@ -348,15 +347,16 @@ def partly_collinear_panel(seed, n=10, special=6, t=30):
 
 
 def chunk_sizes(monkeypatch, p, config):
-    """The number of draws in each ``_draw_betas`` call of ``bootstrap_ci(p, config)``,
+    """The number of draws in each ``draw_betas`` call of ``bootstrap_ci(p, config)``,
     in the order the calls start (any order on more than one pool thread)."""
     sizes = []
+    draw_betas = EstimatorConfig.draw_betas
 
     def counted(config, z, w):
         sizes.append(len(w))
-        return _draw_betas(config, z, w)
+        return draw_betas(config, z, w)
 
-    monkeypatch.setattr(inference, "_draw_betas", counted)
+    monkeypatch.setattr(EstimatorConfig, "draw_betas", counted)
     bootstrap_ci(p, config)
     return sizes
 
@@ -460,7 +460,7 @@ class TestBatchedBootstrap:
         p = make_panel(y, p.x)
         z = np.concatenate([p.y[:, None, :], p.x.transpose(0, 2, 1)], axis=1)
         rows = [[1] * 10, [3, 0, 0] + [1] * 7, [0, 2] + [1] * 8]
-        got = _draw_betas(EstimatorConfig(), z, np.array(rows, dtype=float))
+        got = EstimatorConfig().draw_betas(z, np.array(rows, dtype=float))
         assert isinstance(got[1], NumericalError)
         units = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 1, 2, 3, 4, 5, 6, 7, 8, 9]]
         for beta, idx in zip((got[0], got[2]), units):

@@ -17,7 +17,8 @@ from scce import (
     knot_count,
     spline_basis_vector,
 )
-from scce.sieve import TAG_CONSTANT, TAG_LINEAR, TAG_NONLINEAR, _sieve_stack
+from scce.sieve import (TAG_CONSTANT, TAG_LINEAR, TAG_NONLINEAR, _knots, _sieve_stack,
+                        _spline_block)
 
 
 class TestKnotCount:
@@ -211,6 +212,20 @@ class TestSieveStack:
         if kind == BasisKind.CUBIC_SPLINE:
             assert widths[1] == stack.shape[2] - 1
             assert np.isinf(knots[1, 2, 1]) and np.isfinite(knots[[0, 2, 3]]).all()
+
+    def test_spline_block_has_the_bits_of_pow_on_every_term(self):
+        # pow(v, 2) and v * v may differ in the last bit, so the block must
+        # keep pow's bits on every term, NaN, inf, overflow and ties included.
+        proxies = np.random.default_rng(12).normal(size=(3, 2, 30))
+        proxies[0, 0, :3] = [np.nan, np.inf, -np.inf]
+        proxies[1, 1, 4] = 1e120
+        proxies[2, 0, :20] = 0.0
+        knots = _knots(proxies, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.concatenate([proxies[..., None] ** np.arange(4), np.maximum(
+                proxies[..., :, None] - knots[..., None, :], 0.0) ** 3], axis=-1)
+            assert _spline_block(proxies, knots).tobytes() == want.tobytes()
+            assert _spline_block(proxies, knots[..., :0]).tobytes() == want[..., :4].tobytes()
 
     def test_overflow_is_left_for_the_caller(self):
         proxies = np.random.default_rng(11).normal(size=(2, 3, 20))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from scce import (
+    BasisKind,
     Dgp,
     DgpConfig,
     ErrorMode,
@@ -29,8 +30,9 @@ from scce import (
     monte_carlo_run,
     stream,
 )
-from scce import simulate
-from scce.simulate import _e1_components, _e2_components
+from scce import PanelData, estimators, simulate
+from scce.cli import EXIT_DATA_ERROR, main
+from scce.simulate import _e1_components, _e2_components, _pack_stream_seed
 
 from conftest import make_panel
 
@@ -195,6 +197,53 @@ class TestMonteCarloRun:
             simulate.drop_skipped([TooSmall("t"), SingularDesign("s"), TooSmall("u")], "draws")
         with pytest.raises(TooSmall, match="^t$"):
             simulate.drop_skipped([TooSmall("t"), TooSmall("u")], "draws")
+
+    @pytest.mark.parametrize("dgp", [Dgp.E1, Dgp.E2])
+    @pytest.mark.parametrize("config", [EstimatorConfig(), EstimatorConfig(family="hermite"),
+                                        EstimatorConfig(family="power_series"),
+                                        EstimatorConfig(method="ccep"),
+                                        EstimatorConfig(method="ccemg")],
+                             ids=["spline", "hermite", "power", "ccep", "ccemg"])
+    def test_replications_equal_re_estimates(self, dgp, config):
+        # A replication is a beta-only kernel draw with the plain-mean proxy,
+        # where estimate sums the proxy compensated: the betas agree to about
+        # 1e-13 of the coefficients, and abs_bias, a mean of signed errors,
+        # is held to that absolute scale since it can cancel far below it.
+        # Hermite and power-series bases of E1's proxies amplify the last-bit
+        # proxy difference: their rmse moves by up to 4e-11 on these cells.
+        rtol = 1e-9 if dgp == Dgp.E1 and config.family.kind != BasisKind.CUBIC_SPLINE else 1e-12
+        grid, reps, seed = [(12, 30), (20, 40)], 6, 21
+        report = monte_carlo_run(grid, DgpConfig(dgp=dgp), config, reps=reps, seed=seed)
+        for c, ((n, t), cell) in enumerate(zip(grid, report.cells)):
+            errors = []
+            for r in range(reps):
+                sim = generate_panel(DgpConfig(dgp=dgp, n=n, t=t,
+                                               seed=_pack_stream_seed(seed, c, r)))
+                errors.append(config.estimate(sim.panel).beta - sim.beta)
+            assert cell.skipped == 0
+            bias = [abs(math.fsum(e[k] for e in errors)) / reps for k in range(2)]
+            rmse = [math.sqrt(math.fsum(e[k] ** 2 for e in errors) / reps) for k in range(2)]
+            np.testing.assert_allclose(cell.abs_bias, bias, rtol=rtol, atol=rtol * sim.beta.max())
+            np.testing.assert_allclose(cell.rmse, rmse, rtol=rtol)
+
+    def test_replications_form_no_residual_stack(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replication took the point-estimate path")
+
+        monkeypatch.setattr(PanelData, "_proxy", property(forbidden))
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "_residual_grams", forbidden)
+            for method in Method:
+                report = monte_carlo_run([(30, 40)], DgpConfig(dgp=Dgp.E1),
+                                         EstimatorConfig(method), reps=3, seed=5)
+                assert report.cells[0].skipped == 0
+        # A skip is still the kernel's error, and a cell of nothing but skips
+        # raises it. Here rank = T, so the Grams come from the residuals.
+        with pytest.raises(TooSmall, match="the projection spans all T periods"):
+            monte_carlo_run([(20, 20)], DgpConfig(dgp=Dgp.E1), EstimatorConfig(knot_c=3), reps=5)
+        assert main(["simulate", "--dgp", "e1", "--n", "20", "--t", "20", "--knot-c", "3",
+                     "--reps", "5"]) == EXIT_DATA_ERROR
+        assert "use fewer knots" in capsys.readouterr().err
 
     def test_single_rep_bias_equals_rmse(self):
         report = monte_carlo_run([(10, 20)], DgpConfig(dgp=Dgp.E1), reps=1, seed=7)
