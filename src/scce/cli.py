@@ -10,9 +10,10 @@ Exit codes: 0 success, 2 data or configuration errors, 3 numerical errors.
 Exit 2 covers unreadable or malformed CSV panels (a missing file, text that
 is not UTF-8, an oversized field, a row whose width differs from the
 header's), bad flags (unknown, malformed or out of range, ``--hac-window``
-outside 0..T-1 among them), an ``SCCE_THREADS`` outside 1..256, and an
+outside 0..T-1 among them), an ``SCCE_THREADS`` outside 1..256, an
 ``--output`` that cannot be opened or names the ``--input`` file, both
-checked before any work. Each error is one ``error:`` line on stderr.
+checked before any work, and a report that cannot be written. Each error is
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _level(text: str) -> float:
+    """A --level value, checked at parse time whether or not --bootstrap is given."""
+    with contextlib.suppress(ValueError):
+        return BootstrapConfig(level=float(text)).level
+    raise ScceError(f"argument --level: invalid float value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scce", description="Sieve-augmented CCE estimation for panel data")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--hac-window", type=int, default=None)
     est.add_argument("--bootstrap", type=int, default=None, metavar="B",
                      help="number of pair-bootstrap draws (omit to skip)")
-    est.add_argument("--level", type=float, default=0.95)
+    est.add_argument("--level", type=_level, default=0.95)
     est.add_argument("--seed", type=_seed, default=0)
     est.add_argument("--no-adf", action="store_true", help="skip the unit-root pretests")
     add_output_flags(est, "json")
@@ -142,22 +150,33 @@ def _load(args):
     return first_difference(panel) if args.diff else panel
 
 
-def _emit(out, args, payload: dict, header: list, rows: list) -> None:
-    """Write ``payload`` as JSON, or the dict ``rows`` as CSV under ``header``:
-    floats as .10g, other values as str, missing keys empty."""
+def _render(args, payload: dict, header: list, rows: list) -> str:
+    """``payload`` with its ``schema_version`` as JSON, or the dict ``rows`` as
+    CSV under ``header``: floats as .10g, other values as str, missing keys empty."""
     if args.format == "json":
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return
+        return json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                          sort_keys=True, indent=2) + "\n"
 
     def field(row, key):
         value = row.get(key, "")
         return f"{value:.10g}" if isinstance(value, float) else str(value)
 
     lines = [",".join(header)] + [",".join(field(r, k) for k in header) for r in rows]
-    out.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_estimate(args, out) -> int:
+def _write(out, name: str, text: str) -> None:
+    """Write ``text`` to ``out`` and flush it; close it here unless it is stdout,
+    since a failed write leaves its bytes in the buffer for a later close to retry."""
+    try:
+        with contextlib.nullcontext() if out is sys.stdout else out:
+            out.write(text)
+            out.flush()
+    except OSError as exc:
+        raise ScceError(f"{name}: cannot write: {exc.strerror}") from None
+
+
+def _cmd_estimate(args) -> tuple:
     config = _estimator(args)
     panel = _load(args)
 
@@ -192,7 +211,6 @@ def _cmd_estimate(args, out) -> int:
         coef_rows.append(row)
 
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "command": "estimate",
         "method": config.method.value,
         "n_units": panel.n_units,
@@ -206,12 +224,10 @@ def _cmd_estimate(args, out) -> int:
     if boot is not None:
         payload["bootstrap"] = {"draws": args.bootstrap, "level": args.level,
                                 "seed": args.seed, "skipped": boot.skipped}
-    _emit(out, args, payload, ["coef", "estimate", "hac_std_error", "ci_lower", "ci_upper"],
-          coef_rows)
-    return EXIT_OK
+    return payload, ["coef", "estimate", "hac_std_error", "ci_lower", "ci_upper"], coef_rows
 
 
-def _cmd_simulate(args, out) -> int:
+def _cmd_simulate(args) -> tuple:
     config = _estimator(args)
     if len(args.n) != len(args.t):
         raise PanelDataError("--n and --t must be given the same number of times")
@@ -221,17 +237,15 @@ def _cmd_simulate(args, out) -> int:
                         error_mode=ErrorMode(pi=args.error_pi))
     report = monte_carlo_run(grid, dgp_cfg, config, reps=args.reps, seed=args.seed)
     rows = report.to_rows()
-    _emit(out, args, {"schema_version": SCHEMA_VERSION, "rows": rows},
-          ["n", "t", "dgp", "estimator", "coef", "abs_bias", "rmse", "reps", "skipped"], rows)
-    return EXIT_OK
+    return ({"rows": rows},
+            ["n", "t", "dgp", "estimator", "coef", "abs_bias", "rmse", "reps", "skipped"], rows)
 
 
-def _cmd_test_linearity(args, out) -> int:
+def _cmd_test_linearity(args) -> tuple:
     config = _estimator(args)
     panel = _load(args)
     res = linearity_test(panel, config.basis(panel), args.hac_window)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "command": "test-linearity",
         "statistic": res.statistic,
         "dof": res.dof,
@@ -239,9 +253,7 @@ def _cmd_test_linearity(args, out) -> int:
         "reject_linearity_5pct": res.decision_at_5pct,
         "hac_window": res.detail["hac_window"],
     }
-    _emit(out, args, payload, ["statistic", "dof", "p_value", "reject_linearity_5pct"],
-          [payload])
-    return EXIT_OK
+    return payload, ["statistic", "dof", "p_value", "reject_linearity_5pct"], [payload]
 
 
 def main(argv=None) -> int:
@@ -259,7 +271,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ScceError(f"{args.output}: cannot write: {exc.strerror}") from None
         with target as out:
-            return handlers[args.command](args, out)
+            report = handlers[args.command](args)
+            _write(out, args.output or "stdout", _render(args, *report))
+        return EXIT_OK
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR

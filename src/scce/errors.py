@@ -5,6 +5,11 @@ degenerate regressions) are kept on separate branches so that callers --
 in particular the CLI -- can map them to distinct exit codes.
 """
 
+__all__ = ["ScceError", "PanelDataError", "UnbalancedPanel", "DuplicateCell", "NonFiniteValue",
+           "TooSmall", "NumericalError", "SingularDesign", "SingularUnit", "SingularSigmaV",
+           "WindowTooLarge", "SeriesTooShort", "DegenerateSeries", "NoNonlinearColumns",
+           "TooManySkipped"]
+
 
 class ScceError(Exception):
     """Base class for all library errors."""

@@ -169,7 +169,8 @@ def _residual_grams(zr: np.ndarray, u: np.ndarray, n: int) -> tuple[np.ndarray, 
     return resid, resid @ resid.transpose(0, 1, 3, 2)
 
 
-def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray,
+                     rank: np.ndarray) -> np.ndarray:
     """The per-unit Grams of ``_residual_grams`` as Z'Z - C C', C = Z U, with
     no residual stack. A draw takes the residual Grams where its downdate is
     not finite or keeps at most _DOWNDATE_FLOOR of tr(X'X): pooled, in the
@@ -189,6 +190,7 @@ def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray
     else:
         kept = np.trace(grams[..., 1:, 1:], axis1=-2, axis2=-1)  # (B, N) tr(X_i' M X_i)
         low = ~((w * kept).sum(axis=1) > _DOWNDATE_FLOOR * (w @ total))
+    low &= rank < t  # _solve rejects a draw of rank T without its Grams
     if low.any():
         grams[low] = _residual_grams(zr, u[low], n)[1]
     return grams
@@ -210,7 +212,7 @@ def _estimate_reweighted(method: Method, z: np.ndarray, w: np.ndarray, cols: np.
         if residuals:
             resid, grams = _residual_grams(z.reshape(n * d1, t), u, n)
         else:
-            resid, grams = None, _downdated_grams(method, z, w, u)
+            resid, grams = None, _downdated_grams(method, z, w, u, rank)
         grams[w == 0] = 0.0  # a unit a panel leaves out must not overflow its sum
         if method != Method.CCEMG:
             grams = np.einsum("bi,bikl->bkl", w, grams)[:, None]

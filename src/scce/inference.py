@@ -37,7 +37,7 @@ from .simulate import drop_skipped, pool_map, stream
 
 __all__ = ["CovarianceEstimate", "BootstrapResult", "TestResult", "BootstrapConfig",
            "default_hac_window", "sigma_v_hat", "hac_theta", "sandwich_covariance",
-           "bootstrap_ci", "linearity_test", "adf_test"]
+           "hac_covariance", "bootstrap_ci", "linearity_test", "adf_test"]
 
 # Bytes one chunk of bootstrap draws holds: per draw, its (T, K) basis U and
 # the (N(d+1), K) product C = Z U that downdates its Grams, K(N(d+1) + T)
@@ -266,7 +266,7 @@ def linearity_test(p: PanelData, basis: SieveBasis,
     u = u[:, :proxy_rank]  # an orthonormal basis of [1, F_hat]
     resid = _restricted_residuals(p, u)  # N x T, orthogonal to [1, F_hat]
     q_cols = nonlinear - u @ (u.T @ nonlinear)  # annihilate's arithmetic
-    q_rank = int(np.linalg.matrix_rank(q_cols))
+    q_rank = int(_orthonormal_span(q_cols)[1])
     if np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(p.y)):
         # Exact fit: the quadratic form below is scale-invariant, so rounding
         # noise would otherwise masquerade as signal.
@@ -351,7 +351,7 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> TestResult:
         if rank < k or nobs <= k:
             return None
         ssr = float(resid @ resid)
-        if ssr <= 0.0:
+        if ssr <= 1e-20 * (lhs @ lhs):  # an exact fit leaves only rounding noise
             raise DegenerateSeries("ADF regression has a perfect fit; t-ratio undefined")
         sigma2 = ssr / (nobs - k)
         xtx_inv = np.linalg.inv(design.T @ design)

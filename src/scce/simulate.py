@@ -26,10 +26,9 @@ from .estimators import EstimatorConfig, Method, _stacked_yx
 from .panel import PanelData
 from .sieve import knot_count
 
-__all__ = ["Dgp", "FactorMode", "ErrorMode", "DgpConfig", "SimulatedPanel",
-           "EstimatorConfig", "McCell", "McReport", "stream",
-           "generate_panel", "generate_e1", "generate_e2",
-           "generate_correlated_errors", "monte_carlo_run"]
+__all__ = ["Dgp", "FactorMode", "ErrorMode", "DgpConfig", "SimulatedPanel", "McCell", "McReport",
+           "stream", "generate_panel", "generate_e1", "generate_e2", "generate_correlated_errors",
+           "monte_carlo_run"]
 
 _RW_INCREMENT_SD = math.sqrt(0.05)
 _SKIP_TOLERANCE = 0.01

@@ -150,6 +150,36 @@ class TestEstimate:
         assert json.loads(capsys.readouterr().out)["adf"] == [
             {"column": name, "error": message} for name in ("ybar", "x1bar", "x2bar")]
 
+    def test_a_proxy_that_adf_fits_exactly_is_an_error_row(self, tmp_path, capsys):
+        # Units in pairs of opposite noise: ybar is the trend 0, 1, 2, ...
+        rng = np.random.default_rng(6)
+        noise = rng.normal(size=(10, 30))
+        y = np.arange(30.0) + np.concatenate([noise, -noise])
+        path = write_panel_csv(tmp_path / "trend.csv", make_panel(y, rng.normal(size=(20, 30, 2))))
+        assert main(["estimate", "--input", path, "--method", "ccep"]) == EXIT_OK
+        adf = json.loads(capsys.readouterr().out)["adf"]
+        assert adf[0] == {"column": "ybar",
+                          "error": "ADF regression has a perfect fit; t-ratio undefined"}
+        assert [row["column"] for row in adf[1:]] == ["x1bar", "x2bar"]
+        assert all("statistic" in row for row in adf[1:])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv, name", [
+        (["estimate", "--input", "{csv}", "--output", "/dev/full"], "/dev/full"),
+        (["estimate", "--input", "{csv}"], "stdout"),
+        (["simulate", "--dgp", "e1", "--n", "10", "--t", "20", "--reps", "2"], "stdout"),
+    ])
+    def test_a_report_that_cannot_be_written_exits_2_with_one_line(self, panel_csv, argv, name):
+        src = os.path.dirname(os.path.dirname(scce.__file__))
+        with open("/dev/full", "w") as full:
+            out = subprocess.run([sys.executable, "-m", "scce.cli",
+                                  *(a.format(csv=panel_csv) for a in argv)],
+                                 stdout=full, stderr=subprocess.PIPE, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == EXIT_DATA_ERROR
+        # No traceback, and no "Exception ignored" from the interpreter's last flush.
+        assert out.stderr == f"error: {name}: cannot write: No space left on device\n"
+
     @pytest.mark.filterwarnings("error")
     def test_a_proxy_that_overflows_exits_3_without_warnings(self, tmp_path, capsys):
         sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=5)).panel
@@ -186,6 +216,11 @@ CONFIG_ERRORS = [
     (["estimate", "--input", "{csv}", "--knot-c", "0"], {}, "knot multiplier"),
     (["estimate", "--input", "{csv}", "--bootstrap", "5", "--level", "2"], {},
      "confidence level"),
+    # Checked at parse time, also without --bootstrap, and before the CSV is read.
+    (["estimate", "--input", "{missing}", "--level", "2"], {},
+     "confidence level must lie in (0, 1)"),
+    (["estimate", "--input", "{csv}", "--level", "abc"], {},
+     "argument --level: invalid float value: 'abc'"),
     (["estimate", "--input", "{csv}", "--bootstrap", "5", "--seed", "-1"], {},
      "seed must be a non-negative integer"),
     (["estimate", "--input", "{csv}", "--bootstrap", "5"], {"SCCE_THREADS": "abc"},

@@ -601,7 +601,9 @@ class TestLinearityTest:
 
         monkeypatch.setattr(inference, "_orthonormal_span", counted)
         got = linearity_test(p, basis)
-        assert spans == [(40, 4)]  # [1, F_hat] once, F_hat = [ybar, x1bar, x2bar]
+        # [1, F_hat] once, F_hat = [ybar, x1bar, x2bar]; then the tested block's
+        # rank, by the same rule.
+        assert spans == [(40, 4), basis.columns_tagged(TAG_NONLINEAR).shape]
         assert (got.statistic, got.dof, got.p_value) == (want.statistic, want.dof, want.p_value)
 
     def test_nonlinear_columns_in_the_linear_span_leave_nothing_to_test(self, random_panel):
@@ -649,6 +651,16 @@ class TestAdfTest:
     def test_constant_series_rejected(self):
         with pytest.raises(DegenerateSeries):
             adf_test(np.full(50, 3.0))
+
+    # Series the ADF regression fits exactly: the SSR is rounding noise
+    # (1e-32 to 1e-29 of the sum of squares), and its t-ratio read -3.44,
+    # -1.4e16, 2.9e15 and 3.67, the last at the exact p = 1 fit BIC picks.
+    @pytest.mark.parametrize("series", [np.arange(50.0), np.tile([0.0, 1.0], 25),
+                                        1.05 ** np.arange(50), np.arange(50.0) ** 2],
+                             ids=["trend", "alternating", "geometric", "quadratic"])
+    def test_exact_fit_rejected(self, series):
+        with pytest.raises(DegenerateSeries, match="perfect fit"):
+            adf_test(series)
 
     def test_short_series_rejected(self):
         with pytest.raises(SeriesTooShort):

@@ -237,12 +237,14 @@ class TestMonteCarloRun:
                 report = monte_carlo_run([(30, 40)], DgpConfig(dgp=Dgp.E1),
                                          EstimatorConfig(method), reps=3, seed=5)
                 assert report.cells[0].skipped == 0
-        # A skip is still the kernel's error, and a cell of nothing but skips
-        # raises it. Here rank = T, so the Grams come from the residuals.
-        with pytest.raises(TooSmall, match="the projection spans all T periods"):
-            monte_carlo_run([(20, 20)], DgpConfig(dgp=Dgp.E1), EstimatorConfig(knot_c=3), reps=5)
-        assert main(["simulate", "--dgp", "e1", "--n", "20", "--t", "20", "--knot-c", "3",
-                     "--reps", "5"]) == EXIT_DATA_ERROR
+            # A skip is still the kernel's error, and a cell of nothing but skips
+            # raises it. Here rank = T: the kernel rejects every replication
+            # without its Grams, so none comes from the residuals either.
+            with pytest.raises(TooSmall, match="the projection spans all T periods"):
+                monte_carlo_run([(20, 20)], DgpConfig(dgp=Dgp.E1), EstimatorConfig(knot_c=3),
+                                reps=5)
+            assert main(["simulate", "--dgp", "e1", "--n", "20", "--t", "20", "--knot-c", "3",
+                         "--reps", "5"]) == EXIT_DATA_ERROR
         assert "use fewer knots" in capsys.readouterr().err
 
     def test_single_rep_bias_equals_rmse(self):
