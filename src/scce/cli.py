@@ -60,13 +60,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _seed(text: str) -> int:
     """A --seed value, checked at parse time whether or not a draw uses it."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ScceError(f"seed must be a non-negative integer, got {text!r}")
-    return seed
+    with contextlib.suppress(ValueError):
+        if (seed := int(text)) >= 0:
+            return seed
+    raise ScceError(f"seed must be a non-negative integer, got {text!r}")
 
 
 def _level(text: str) -> float:
@@ -166,13 +163,16 @@ def _render(args, payload: dict, header: list, rows: list) -> str:
 
 
 def _write(out, name: str, text: str) -> None:
-    """Write ``text`` to ``out`` and flush it; close it here unless it is stdout,
-    since a failed write leaves its bytes in the buffer for a later close to retry."""
+    """Write ``text`` to ``out``, flush it and close it unless it is stdout; a failed
+    stdout is pointed at the null device, so the flush at exit drops its buffer."""
     try:
         with contextlib.nullcontext() if out is sys.stdout else out:
             out.write(text)
             out.flush()
     except OSError as exc:
+        if out is sys.stdout:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), out.fileno())
         raise ScceError(f"{name}: cannot write: {exc.strerror}") from None
 
 

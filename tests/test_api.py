@@ -37,12 +37,6 @@ def test_each_name_is_the_object_its_module_defines(module):
         assert getattr(scce, name) is value, name
 
 
-def test_hac_covariance_comes_with_a_wildcard_import():
-    namespace = {}
-    exec("from scce.inference import *", namespace)
-    assert namespace["hac_covariance"] is scce.hac_covariance
-
-
 @pytest.mark.parametrize("config, fields", [
     (scce.EstimatorConfig, ["method", "family", "knot_c", "knot_rate"]),
     (scce.BootstrapConfig, ["method", "family", "knot_c", "knot_rate",

@@ -180,6 +180,20 @@ class TestEstimate:
         # No traceback, and no "Exception ignored" from the interpreter's last flush.
         assert out.stderr == f"error: {name}: cannot write: No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_stdout_that_cannot_be_written_is_not_flushed_again_at_exit(self, panel_csv):
+        # Some interpreters keep a failed write's bytes in stdout's buffer and flush
+        # them again at exit; what is still buffered then must go nowhere.
+        script = ("import sys, scce.cli; code = scce.cli.main(sys.argv[1:]); "
+                  "sys.stdout.write('still buffered'); sys.exit(code)")
+        src = os.path.dirname(os.path.dirname(scce.__file__))
+        with open("/dev/full", "w") as full:
+            out = subprocess.run([sys.executable, "-c", script, "estimate", "--input", panel_csv],
+                                 stdout=full, stderr=subprocess.PIPE, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == EXIT_DATA_ERROR
+        assert out.stderr == "error: stdout: cannot write: No space left on device\n"
+
     @pytest.mark.filterwarnings("error")
     def test_a_proxy_that_overflows_exits_3_without_warnings(self, tmp_path, capsys):
         sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=5)).panel
