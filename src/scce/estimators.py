@@ -5,10 +5,10 @@ the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
 [1, F_hat], pooled; CCEMG [1, F_hat], per unit and averaged. One kernel,
 ``_estimate_reweighted``, solves a stack of panels, given as unit weights on
 one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
-one residual Z - U (U' Z) and their Grams; no T x T matrix is formed. A point
-estimate is its one-panel case. Bootstrap draws and Monte Carlo replications
-need only betas (``draw_betas``): their Grams are the downdates Z'Z - C C',
-C = Z U, except where the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
+residuals and Grams a cache-sized block of units at a time; no T x T matrix is
+formed. A point estimate is its one-panel case. Bootstrap draws and Monte Carlo
+replications need only betas (``draw_betas``): their Grams are the downdates
+Z'Z - C C', C = Z U, unless the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ _EIG_GATE = 1e-10
 # a unit's weakest direction); at r <= this floor a draw's Grams come from
 # its residuals instead.
 _DOWNDATE_FLOOR = 1e-3
+# Bytes of [y, X] (or of HAC scores) per block of units: a block and its
+# residuals stay in cache from the GEMMs that project them to their Grams.
+_BLOCK_BYTES = 256 << 10
 
 
 class Method(str, enum.Enum):
@@ -160,13 +163,26 @@ def _solve(method: Method, t: int, grams: np.ndarray, w, finite, rank, labels) -
     return per_unit[:, 0], errors, None
 
 
-def _residual_grams(zr: np.ndarray, u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, N, d + 1, T) residuals Z - U (U' Z) of zr = Z (N(d + 1), T) on
-    each basis of a (B, T, K) stack u, and their per-unit Grams [y, X]' M [y, X]."""
-    resid = (zr @ u) @ u.transpose(0, 2, 1)
-    np.subtract(zr, resid, out=resid)
-    resid = resid.reshape(len(u), n, -1, zr.shape[1])
-    return resid, resid @ resid.transpose(0, 1, 3, 2)
+def _residual_grams(y: np.ndarray, xt: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+    """Per-unit Grams [y, X]' M [y, X] of the residuals Z - (Z U) U' of Z = [y, X],
+    y (N, T) and xt = X' (N, d, T), on each basis of a (B, T, K) stack u: a block
+    of _BLOCK_BYTES of residuals at a time, in buffers reused so as not to fault in
+    fresh pages; out = (eps (N, T), v (N, T, d)) receives basis 0's My and MX."""
+    (n, t), d1, b = y.shape, xt.shape[1] + 1, len(u)
+    size = min(n, max(1, _BLOCK_BYTES // (8 * b * d1 * t)))
+    grams, zb, rb = np.empty((b, n, d1, d1)), np.empty((size, d1, t)), np.empty((b, size * d1, t))
+    for lo in range(0, n, size):
+        m = min(size, n - lo)
+        zb[:m, 0], zb[:m, 1:] = y[lo:lo + m], xt[lo:lo + m]
+        zr, resid = zb[:m].reshape(-1, t), rb[:, :m * d1]
+        np.matmul(zr @ u, u.transpose(0, 2, 1), out=resid)
+        np.subtract(zr, resid, out=resid)
+        resid = resid.reshape(b, m, d1, t)
+        grams[:, lo:lo + m] = resid @ resid.transpose(0, 1, 3, 2)
+        if out is not None:
+            out[0][lo:lo + m] = resid[0, :, 0]
+            out[1][lo:lo + m] = resid[0, :, 1:].transpose(0, 2, 1)
+    return grams
 
 
 def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray,
@@ -192,43 +208,44 @@ def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray
         low = ~((w * kept).sum(axis=1) > _DOWNDATE_FLOOR * (w @ total))
     low &= rank < t  # _solve rejects a draw of rank T without its Grams
     if low.any():
-        grams[low] = _residual_grams(zr, u[low], n)[1]
+        grams[low] = _residual_grams(z[:, 0], z[:, 1:], u[low])
     return grams
 
 
-def _estimate_reweighted(method: Method, z: np.ndarray, w: np.ndarray, cols: np.ndarray,
+def _estimate_reweighted(method: Method, z, w: np.ndarray, cols: np.ndarray,
                          widths, labels, residuals: bool = True) -> tuple:
     """The estimation kernel: panel b repeats unit i w[b, i] times (rows of w
     sum to N) and projects the span of cols[b] (``widths`` as in
-    ``_orthonormal_span``) out of z = [y, X] (``_stacked_yx``). Returns
-    ``_solve``'s betas and errors (``labels`` name the units), the (B,) ranks,
-    the (B, N, d + 1, T) projected [y, X] (None unless ``residuals``, which
-    otherwise takes the Grams from ``_downdated_grams``) and the CCEMG
-    per-unit betas."""
-    n, d1, t = z.shape
+    ``_orthonormal_span``) out of z = [y, X], stacked (``_stacked_yx``) or,
+    with ``residuals``, the pair (y (N, T), X' (N, d, T)). Returns ``_solve``'s
+    betas and errors (``labels`` name the units), the (B,) ranks, panel 0's
+    (My (N, T), MX (N, T, d)) (None unless ``residuals``, which otherwise
+    takes the Grams from ``_downdated_grams``) and the CCEMG per-unit betas."""
+    y, xt = z if isinstance(z, tuple) else (z[:, 0], z[:, 1:])
     finite = np.isfinite(cols).all(axis=(1, 2))
     u, rank = _orthonormal_span(np.where(finite[:, None, None], cols, 0.0), widths)
+    resid = (np.empty(y.shape), np.empty((*y.shape, xt.shape[1]))) if residuals else None
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports an overflow
         if residuals:
-            resid, grams = _residual_grams(z.reshape(n * d1, t), u, n)
+            grams = _residual_grams(y, xt, u, resid)
         else:
-            resid, grams = None, _downdated_grams(method, z, w, u, rank)
+            grams = _downdated_grams(method, z, w, u, rank)
         grams[w == 0] = 0.0  # a unit a panel leaves out must not overflow its sum
         if method != Method.CCEMG:
             grams = np.einsum("bi,bikl->bkl", w, grams)[:, None]
-    beta, errors, per_unit = _solve(method, t, grams, w, finite, rank, labels)
+    beta, errors, per_unit = _solve(method, y.shape[1], grams, w, finite, rank, labels)
     return beta, errors, rank, resid, per_unit
 
 
 def _fit(method: Method, p: PanelData, cols: np.ndarray, widths=None) -> EstimationResult:
     """The kernel's B = 1, w = 1 case: estimate p with projection columns cols[0]."""
-    beta, (error,), rank, resid, per_unit = _estimate_reweighted(
-        method, _stacked_yx(p), np.ones((1, p.n_units)), cols, widths, p.unit_labels)
+    beta, (error,), rank, (eps_hat, v_hat), per_unit = _estimate_reweighted(
+        method, (p.y, p.x.transpose(0, 2, 1)), np.ones((1, p.n_units)), cols, widths,
+        p.unit_labels)
     if error is not None:
         raise error
-    my, mx = resid[0, :, 0], resid[0, :, 1:]  # copied, so that the stack is freed
-    return EstimationResult(beta[0], method, my - np.einsum("ikt,k->it", mx, beta[0]),
-                            np.ascontiguousarray(mx.transpose(0, 2, 1)), int(rank[0]),
+    eps_hat -= (v_hat.reshape(-1, p.n_regressors) @ beta[0]).reshape(eps_hat.shape)
+    return EstimationResult(beta[0], method, eps_hat, v_hat, int(rank[0]),
                             None if per_unit is None else per_unit[0])
 
 

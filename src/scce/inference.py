@@ -4,7 +4,8 @@ Covers the residual second-moment matrix, the Bartlett-kernel HAC long-run
 covariance, the sandwich covariance and standard errors, pair-bootstrap
 percentile confidence intervals, a score-type test of factor linearity, and
 an augmented Dickey-Fuller pretest with BIC lag selection. The HAC pads each
-unit's scores with L zeros, so each lag is one GEMM that pairs no two units.
+unit's scores with L zeros, so that the L + 1 lag GEMMs of each cache-sized
+block of units pair no two units.
 The linearity statistic's restricted CCEP fit, the one solve outside the
 kernel, keeps its own einsums here (``_restricted_residuals``).
 
@@ -29,8 +30,8 @@ from .errors import (
     SingularSigmaV,
     WindowTooLarge,
 )
-from .estimators import (EstimationResult, EstimatorConfig, Method, _gate, _linear_columns,
-                         _orthonormal_span, _solve, _stacked_yx)
+from .estimators import (_BLOCK_BYTES, EstimationResult, EstimatorConfig, Method, _gate,
+                         _linear_columns, _orthonormal_span, _solve, _stacked_yx)
 from .panel import PanelData, cross_sectional_average
 from .sieve import TAG_NONLINEAR, SieveBasis
 from .simulate import drop_skipped, pool_map, stream
@@ -119,11 +120,18 @@ def hac_theta(result: EstimationResult, window: int | None = None) -> np.ndarray
     if window is None:
         window = default_hac_window(t)
     _check_window(window, t)
-    s = np.zeros((d, n, t + window))  # each unit's T scores, then L zeros
+    size = min(n, max(1, _BLOCK_BYTES // (8 * d * (t + window))))
+    s, total = np.zeros((d, size, t + window)), np.zeros((window + 1, d, d))  # T scores, L zeros
     with np.errstate(over="ignore", invalid="ignore"):  # sandwich_covariance gates inf
-        np.multiply(result.eps_hat, result.v_hat.transpose(2, 0, 1), out=s[:, :, :t])
-        s = s.reshape(d, -1)
-        return _bartlett(lambda lag: s[:, lag:] @ s[:, :s.shape[1] - lag].T / (n * t), window)
+        for lo in range(0, n, size):
+            m = min(size, n - lo)
+            np.multiply(result.eps_hat[lo:lo + m], result.v_hat[lo:lo + m].transpose(2, 0, 1),
+                        out=s[:, :m, :t])
+            block = s[:, :m].reshape(d, -1)  # a copy only for a short last block
+            for lag in range(window + 1):
+                total[lag] += block[:, lag:] @ block[:, :block.shape[1] - lag].T
+        total /= n * t
+        return _bartlett(lambda lag: total[lag].copy(), window)
 
 
 def sandwich_covariance(sigma_v: np.ndarray, theta: np.ndarray,
@@ -339,11 +347,14 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> TestResult:
         max_lag = int(math.floor(12.0 * (t / 100.0) ** 0.25))
     max_lag = max(0, min(max_lag, (t - 1) // 2 - 2))
 
+    # The lags enter centred, so that the series' level costs the design no digits.
+    level, ds_centred = series - series.mean(), ds - ds.mean()
+
     def fit(p_lags: int, start: int):
         # Rows are ds[start:], regressors [1, s_{t-1}, ds lags].
         lhs = ds[start:]
-        cols = [np.ones(lhs.size), series[start:-1]]
-        cols += [ds[start - l:-l] for l in range(1, p_lags + 1)]
+        cols = [np.ones(lhs.size), level[start:-1]]
+        cols += [ds_centred[start - l:-l] for l in range(1, p_lags + 1)]
         design = np.column_stack(cols)
         coef, _, rank, _ = np.linalg.lstsq(design, lhs, rcond=None)
         resid = lhs - design @ coef

@@ -34,6 +34,7 @@ from scce import (
     knot_count,
     scce_estimate,
 )
+from scce import estimators
 from scce.estimators import _estimate_reweighted, _orthonormal_span, _stacked_yx
 from scce.inference import _project_panel
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR
@@ -444,6 +445,39 @@ class TestKernel:
         assert errors[1] is None and rank.tolist() == [20, 4]
         want = ccep_estimate(p).beta
         assert np.abs(beta[1] - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("units", [1, 3, 4], ids=["1x10", "3-3-3-1", "4-4-2"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_blocks_of_units_change_only_rounding(self, monkeypatch, method, units):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=7)).panel
+        whole = EstimatorConfig(method).estimate(p)  # 10 units of 3 x 30 doubles: one block
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", units * 8 * 3 * 30)
+        split = EstimatorConfig(method).estimate(p)
+        assert np.abs(split.beta - whole.beta).max() <= 1e-14 * np.abs(whole.beta).max()
+        for got, want in ((split.eps_hat, whole.eps_hat), (split.v_hat, whole.v_hat)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert split.projection_rank == whole.projection_rank
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_failing_unit_in_a_later_block_is_still_found(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", 3 * 8 * 3 * 30)  # 3, 3, 3, 1 units
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(10, 30, 2))
+        y = x @ np.array([1.0, -1.0]) + rng.normal(size=(10, 30))
+        for unit in (4, 9):
+            singular = x.copy()
+            singular[unit] = 0.0
+            with pytest.raises(SingularUnit) as raised:
+                ccemg_estimate(make_panel(y, singular))
+            assert str(raised.value) == f"unit-level regression singular for unit {unit}"
+        # Units 8 and 9, in the last two blocks, cancel in the averages, so
+        # the projection keeps their scale and their Grams overflow.
+        big_y, big_x = y.copy(), x.copy()
+        big_y[8:], big_x[8:] = 1e154 * y[8], 1e154 * x[8]
+        big_y[9], big_x[9] = -big_y[9], -big_x[9]
+        for method in (Method.CCEP, Method.CCEMG):
+            with pytest.raises(NumericalError, match="^Gram matrix overflows"):
+                EstimatorConfig(method).estimate(make_panel(big_y, big_x))
 
     def test_the_stacked_panel_is_contiguous_and_results_hold_no_view_of_it(self, random_panel):
         p = random_panel(n=7, t=30, d=3, beta=(1.0, 2.0, 3.0), seed=42)

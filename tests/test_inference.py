@@ -162,6 +162,14 @@ class TestHacTheta:
                            dense_hac_oracle(result, t - 1), atol=1e-12)
         assert not np.allclose(hac_theta(result, t - 1), theta0)
 
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 30], ids=["one_unit", "one_block"])
+    def test_blocks_of_units_match_dense_oracle(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", block_bytes)
+        result = random_result(n=7, t=20, d=2, seed=26)
+        for window in (2, 5):
+            want = dense_hac_oracle(result, window)
+            assert np.abs(hac_theta(result, window) - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_window_too_large(self):
         result = random_result(n=2, t=10, seed=4)
         for window in (10, -1):
@@ -661,6 +669,14 @@ class TestAdfTest:
     def test_exact_fit_rejected(self, series):
         with pytest.raises(DegenerateSeries, match="perfect fit"):
             adf_test(series)
+
+    def test_statistic_does_not_depend_on_the_level(self):
+        # Uncentred, [1, s_{t-1}] lost digits to a large level: this walk read
+        # -1.05821 at level 0, -1.06059 at 1e7 and was rank deficient at 1e8.
+        walk = np.cumsum(np.random.default_rng(1).normal(size=100))
+        base, shifted = adf_test(walk), adf_test(walk + 1e8)
+        assert shifted.dof == base.dof
+        assert shifted.statistic == pytest.approx(base.statistic, rel=1e-9, abs=0)
 
     def test_short_series_rejected(self):
         with pytest.raises(SeriesTooShort):
