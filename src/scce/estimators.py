@@ -6,7 +6,9 @@ the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
 ``_estimate_reweighted``, solves a stack of panels, given as unit weights on
 one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
 residuals and Grams a cache-sized block of units at a time; no T x T matrix is
-formed. A point estimate is its one-panel case. Bootstrap draws and Monte Carlo
+formed. A point estimate is its one-panel case: it keeps no residuals, and its
+result forms eps_hat and v_hat on their first read, from the panel's read-only
+y and X, which it keeps alive until then. Bootstrap draws and Monte Carlo
 replications need only betas (``draw_betas``): their Grams are the downdates
 Z'Z - C C', C = Z U, unless the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
 """
@@ -14,6 +16,7 @@ Z'Z - C C', C = Z U, unless the projection removes nearly all of X (``_DOWNDATE_
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,8 @@ _DOWNDATE_FLOOR = 1e-3
 # Bytes of [y, X] (or of HAC scores) per block of units: a block and its
 # residuals stay in cache from the GEMMs that project them to their Grams.
 _BLOCK_BYTES = 256 << 10
+# Held while a result forms its residuals; one for all results keeps a result picklable.
+_FORMING = threading.Lock()
 
 
 class Method(str, enum.Enum):
@@ -44,33 +49,48 @@ class Method(str, enum.Enum):
     CCEMG = "ccemg"
 
 
-@dataclass(frozen=True)
 class EstimationResult:
     """Coefficients plus the projected residual matrices used for inference.
 
     ``eps_hat`` (N x T) and ``v_hat`` (N x T x d) lie in the orthogonal
-    complement of the projection columns. ``per_unit_betas`` is populated by
-    the mean-group estimator only.
+    complement of the projection columns. An estimate's result forms both on
+    the first read of either, in one blocked pass over the panel's read-only y
+    and X, and keeps those arrays alive until then; reading anything else forms
+    no residuals. ``per_unit_betas`` is populated by the mean-group estimator
+    only. A result is read-only.
     """
 
-    beta: np.ndarray
-    method: Method
-    eps_hat: np.ndarray
-    v_hat: np.ndarray
-    projection_rank: int
-    per_unit_betas: np.ndarray | None = None
+    def __init__(self, beta, method, eps_hat=None, v_hat=None, projection_rank=0,
+                 per_unit_betas=None, *, source=None):
+        """``source`` = (y (N, T), X' (N, d, T), U (1, T, K)) stands in for
+        ``eps_hat`` and ``v_hat``: they are My - MX beta and MX, M = I - U U'."""
+        residuals = {"_source": source} if source else {"eps_hat": eps_hat, "v_hat": v_hat}
+        n, t, d = (*source[0].shape, source[1].shape[1]) if source else v_hat.shape
+        vars(self).update(beta=beta, method=method, projection_rank=projection_rank,
+                          per_unit_betas=per_unit_betas, n_units=n, n_periods=t,
+                          n_regressors=d, **residuals)
 
-    @property
-    def n_units(self) -> int:
-        return self.eps_hat.shape[0]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: an EstimationResult is read-only")
 
-    @property
-    def n_periods(self) -> int:
-        return self.eps_hat.shape[1]
+    def __getattr__(self, name):  # only an attribute not yet in __dict__ gets here
+        if name not in ("eps_hat", "v_hat"):
+            raise AttributeError(f"'EstimationResult' object has no attribute {name!r}")
+        with _FORMING:  # a second thread waits for the first's arrays
+            if name not in vars(self):
+                y, xt, u = self._source
+                eps, v = np.empty(y.shape), np.empty((*y.shape, self.n_regressors))
+                for lo, resid in _residual_blocks(y, xt, u):
+                    m = resid.shape[1]
+                    v[lo:lo + m] = resid[0, :, 1:].transpose(0, 2, 1)
+                    np.subtract(resid[0, :, 0], self.beta @ resid[0, :, 1:], out=eps[lo:lo + m])
+                vars(self).update(eps_hat=eps, v_hat=v)
+                del vars(self)["_source"]
+        return vars(self)[name]
 
-    @property
-    def n_regressors(self) -> int:
-        return self.v_hat.shape[2]
+    def __repr__(self) -> str:
+        return (f"EstimationResult(beta={self.beta!r}, method={self.method!r}, projection_rank="
+                f"{self.projection_rank!r}, per_unit_betas={self.per_unit_betas!r})")
 
 
 def _orthonormal_span(columns: np.ndarray, widths=None) -> tuple[np.ndarray, np.ndarray]:
@@ -163,25 +183,29 @@ def _solve(method: Method, t: int, grams: np.ndarray, w, finite, rank, labels) -
     return per_unit[:, 0], errors, None
 
 
-def _residual_grams(y: np.ndarray, xt: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
-    """Per-unit Grams [y, X]' M [y, X] of the residuals Z - (Z U) U' of Z = [y, X],
-    y (N, T) and xt = X' (N, d, T), on each basis of a (B, T, K) stack u: a block
-    of _BLOCK_BYTES of residuals at a time, in buffers reused so as not to fault in
-    fresh pages; out = (eps (N, T), v (N, T, d)) receives basis 0's My and MX."""
+def _residual_blocks(y: np.ndarray, xt: np.ndarray, u: np.ndarray):
+    """The residuals Z - (Z U) U' of Z = [y, X], y (N, T) and xt = X' (N, d, T),
+    on each basis of a (B, T, K) stack u, _BLOCK_BYTES of them at a time: yields
+    each block's first unit and its (B, m, d + 1, T) residuals, in buffers reused
+    so as not to fault in fresh pages."""
     (n, t), d1, b = y.shape, xt.shape[1] + 1, len(u)
     size = min(n, max(1, _BLOCK_BYTES // (8 * b * d1 * t)))
-    grams, zb, rb = np.empty((b, n, d1, d1)), np.empty((size, d1, t)), np.empty((b, size * d1, t))
+    zb, rb = np.empty((size, d1, t)), np.empty((b, size * d1, t))
     for lo in range(0, n, size):
         m = min(size, n - lo)
         zb[:m, 0], zb[:m, 1:] = y[lo:lo + m], xt[lo:lo + m]
         zr, resid = zb[:m].reshape(-1, t), rb[:, :m * d1]
         np.matmul(zr @ u, u.transpose(0, 2, 1), out=resid)
         np.subtract(zr, resid, out=resid)
-        resid = resid.reshape(b, m, d1, t)
-        grams[:, lo:lo + m] = resid @ resid.transpose(0, 1, 3, 2)
-        if out is not None:
-            out[0][lo:lo + m] = resid[0, :, 0]
-            out[1][lo:lo + m] = resid[0, :, 1:].transpose(0, 2, 1)
+        yield lo, resid.reshape(b, m, d1, t)
+
+
+def _residual_grams(y: np.ndarray, xt: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (B, N, d + 1, d + 1) per-unit Grams [y, X]' M [y, X] of ``_residual_blocks``."""
+    d1 = xt.shape[1] + 1
+    grams = np.empty((len(u), len(y), d1, d1))
+    for lo, resid in _residual_blocks(y, xt, u):
+        grams[:, lo:lo + resid.shape[1]] = resid @ resid.transpose(0, 1, 3, 2)
     return grams
 
 
@@ -218,35 +242,36 @@ def _estimate_reweighted(method: Method, z, w: np.ndarray, cols: np.ndarray,
     sum to N) and projects the span of cols[b] (``widths`` as in
     ``_orthonormal_span``) out of z = [y, X], stacked (``_stacked_yx``) or,
     with ``residuals``, the pair (y (N, T), X' (N, d, T)). Returns ``_solve``'s
-    betas and errors (``labels`` name the units), the (B,) ranks, panel 0's
-    (My (N, T), MX (N, T, d)) (None unless ``residuals``, which otherwise
-    takes the Grams from ``_downdated_grams``) and the CCEMG per-unit betas."""
+    betas and errors (``labels`` name the units), the (B,) ranks, the (B, T, K)
+    orthonormal bases and the CCEMG per-unit betas. With ``residuals`` the Grams
+    come from ``_residual_grams``, which keeps no residuals, else from
+    ``_downdated_grams``."""
     y, xt = z if isinstance(z, tuple) else (z[:, 0], z[:, 1:])
     finite = np.isfinite(cols).all(axis=(1, 2))
     u, rank = _orthonormal_span(np.where(finite[:, None, None], cols, 0.0), widths)
-    resid = (np.empty(y.shape), np.empty((*y.shape, xt.shape[1]))) if residuals else None
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports an overflow
         if residuals:
-            grams = _residual_grams(y, xt, u, resid)
+            grams = _residual_grams(y, xt, u)
         else:
             grams = _downdated_grams(method, z, w, u, rank)
         grams[w == 0] = 0.0  # a unit a panel leaves out must not overflow its sum
         if method != Method.CCEMG:
             grams = np.einsum("bi,bikl->bkl", w, grams)[:, None]
     beta, errors, per_unit = _solve(method, y.shape[1], grams, w, finite, rank, labels)
-    return beta, errors, rank, resid, per_unit
+    return beta, errors, rank, u, per_unit
 
 
 def _fit(method: Method, p: PanelData, cols: np.ndarray, widths=None) -> EstimationResult:
-    """The kernel's B = 1, w = 1 case: estimate p with projection columns cols[0]."""
-    beta, (error,), rank, (eps_hat, v_hat), per_unit = _estimate_reweighted(
-        method, (p.y, p.x.transpose(0, 2, 1)), np.ones((1, p.n_units)), cols, widths,
-        p.unit_labels)
+    """The kernel's B = 1, w = 1 case: estimate p with projection columns cols[0];
+    the result forms its residuals when they are first read."""
+    z = (p.y, p.x.transpose(0, 2, 1))
+    beta, (error,), rank, u, per_unit = _estimate_reweighted(
+        method, z, np.ones((1, p.n_units)), cols, widths, p.unit_labels)
     if error is not None:
         raise error
-    eps_hat -= (v_hat.reshape(-1, p.n_regressors) @ beta[0]).reshape(eps_hat.shape)
-    return EstimationResult(beta[0], method, eps_hat, v_hat, int(rank[0]),
-                            None if per_unit is None else per_unit[0])
+    return EstimationResult(beta[0], method, projection_rank=int(rank[0]),
+                            per_unit_betas=None if per_unit is None else per_unit[0],
+                            source=(*z, u))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ annihilator from conftest, per-unit OLS solved by hand, or exact algebraic
 identities on noiseless data.
 """
 
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +41,7 @@ from scce import (
 )
 from scce import estimators
 from scce.estimators import _estimate_reweighted, _orthonormal_span, _stacked_yx
-from scce.inference import _project_panel
+from scce.inference import _project_panel, hac_covariance
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR
 
 from conftest import dense_annihilator, make_panel
@@ -389,6 +394,27 @@ def _good_panel(t):
     return make_panel(x @ np.array([1.0, -1.0]) + rng.normal(size=(10, t)), x)
 
 
+def dense_estimate(p, method):
+    """The estimate by the dense T x T annihilator M of the method's columns:
+    beta, eps_hat = My - MX beta, v_hat = MX and the CCEMG per-unit betas."""
+    config, t = EstimatorConfig(method), p.n_periods
+    if method == Method.SCCE:
+        a = config.basis(p).matrix
+    else:
+        a = np.hstack([np.ones((t, 1)), cross_sectional_average(p).values])
+    m = dense_annihilator(a)
+    my, mx = p.y @ m, np.einsum("st,isk->itk", m, p.x)
+    per_unit = None
+    if method == Method.CCEMG:
+        per_unit = np.array([np.linalg.solve(mx[i].T @ mx[i], mx[i].T @ my[i])
+                             for i in range(p.n_units)])
+        beta = per_unit.mean(axis=0)
+    else:
+        beta = np.linalg.solve(np.einsum("itk,itl->kl", mx, mx),
+                               np.einsum("itk,it->k", mx, my))
+    return {"beta": beta, "eps_hat": my - mx @ beta, "v_hat": mx, "per_unit_betas": per_unit}
+
+
 def noise_panel(n, t, d, seed):
     """y = the sum of the d regressors + noise, all N(0, 1); ``seed`` may
     also be a Generator, which the draws then advance."""
@@ -497,27 +523,80 @@ class TestKernel:
            method=st.sampled_from(list(Method)), seed=st.integers(0, 2**16))
     def test_matches_the_dense_oracle(self, n, t, d, method, seed):
         p = noise_panel(n, t, d, seed)
-        config = EstimatorConfig(method)
-        if method == Method.SCCE:
-            a = config.basis(p).matrix
-        else:
-            a = np.hstack([np.ones((t, 1)), cross_sectional_average(p).values])
-        m = dense_annihilator(a)
-        my, mx = p.y @ m, np.einsum("st,isk->itk", m, p.x)
+        got = EstimatorConfig(method).estimate(p)
+        want = dense_estimate(p, method)
+        for name in ("beta", "eps_hat", "v_hat"):
+            assert np.abs(getattr(got, name) - want[name]).max() <= 1e-10, name
         if method == Method.CCEMG:
-            per_unit = np.array([np.linalg.solve(mx[i].T @ mx[i], mx[i].T @ my[i])
-                                 for i in range(n)])
-            beta = per_unit.mean(axis=0)
-        else:
-            beta = np.linalg.solve(np.einsum("itk,itl->kl", mx, mx),
-                                   np.einsum("itk,it->k", mx, my))
-        got = config.estimate(p)
-        for name, want in (("beta", beta), ("eps_hat", my - mx @ beta), ("v_hat", mx)):
-            assert np.abs(getattr(got, name) - want).max() <= 1e-10, name
-        if method == Method.CCEMG:
-            assert np.abs(got.per_unit_betas - per_unit).max() <= 1e-10
+            assert np.abs(got.per_unit_betas - want["per_unit_betas"]).max() <= 1e-10
         else:
             assert got.per_unit_betas is None
+
+
+class TestLazyResiduals:
+    """A point estimate forms eps_hat and v_hat on the first read of either,
+    in one blocked pass over the panel; reading anything else runs no pass."""
+
+    @pytest.mark.parametrize("first", ["eps_hat", "v_hat"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_residuals_form_on_first_read_only(self, monkeypatch, method, first):
+        p = noise_panel(9, 40, 2, 5)
+        result = EstimatorConfig(method).estimate(p)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the residual pass ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "_residual_blocks", forbidden)
+            assert result.beta.shape == (2,) and result.projection_rank > 0
+            assert (result.per_unit_betas is None) == (method != Method.CCEMG)
+            assert (result.n_units, result.n_periods, result.n_regressors) == (9, 40, 2)
+            assert repr(result).startswith("EstimationResult(beta=array(")
+        formed = getattr(result, first)  # forms both
+        want = dense_estimate(p, method)
+        for name in ("eps_hat", "v_hat"):
+            array = getattr(result, name)
+            assert array.flags.c_contiguous and array.flags.owndata, name
+            assert getattr(result, name) is array, name
+            assert np.abs(array - want[name]).max() <= 1e-10, name
+        assert getattr(result, first) is formed
+        with pytest.raises(AttributeError, match="read-only"):
+            result.beta = np.zeros(2)
+
+    def test_threads_that_read_at_once_get_the_same_arrays(self):
+        result = EstimatorConfig(Method.CCEP).estimate(noise_panel(200, 60, 3, 6))
+        start = threading.Barrier(4)
+
+        def read(name):
+            start.wait(timeout=10)
+            return getattr(result, name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                reads = list(pool.map(read, ["eps_hat", "v_hat"] * 2, timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(a is result.eps_hat for a in reads[::2])
+        assert all(a is result.v_hat for a in reads[1::2])
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_an_estimate_allocates_no_residuals_until_the_hac_reads_them(self, method):
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=1000, t=200, seed=2)).panel
+        n, t, d = p.n_units, p.n_periods, p.n_regressors
+        EstimatorConfig(method).estimate(p)  # what a first call imports is not traced
+        tracemalloc.start()
+        try:
+            result = EstimatorConfig(method).estimate(p)
+            estimate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            hac_covariance(result)
+            hac_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate_peak < 8 * n * t
+        assert hac_peak >= 8 * n * t * (d + 1)
 
 
 def assert_scale_equivariant(p, config, c, k):
