@@ -16,7 +16,6 @@ Z'Z - C C', C = Z U, unless the projection removes nearly all of X (``_DOWNDATE_
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,6 @@ _DOWNDATE_FLOOR = 1e-3
 # Bytes of [y, X] (or of HAC scores) per block of units: a block and its
 # residuals stay in cache from the GEMMs that project them to their Grams.
 _BLOCK_BYTES = 256 << 10
-# Held while a result forms its residuals; one for all results keeps a result picklable.
-_FORMING = threading.Lock()
 
 
 class Method(str, enum.Enum):
@@ -60,15 +57,21 @@ class EstimationResult:
     only. A result is read-only.
     """
 
-    def __init__(self, beta, method, eps_hat=None, v_hat=None, projection_rank=0,
-                 per_unit_betas=None, *, source=None):
-        """``source`` = (y (N, T), X' (N, d, T), U (1, T, K)) stands in for
-        ``eps_hat`` and ``v_hat``: they are My - MX beta and MX, M = I - U U'."""
-        residuals = {"_source": source} if source else {"eps_hat": eps_hat, "v_hat": v_hat}
-        n, t, d = (*source[0].shape, source[1].shape[1]) if source else v_hat.shape
-        vars(self).update(beta=beta, method=method, projection_rank=projection_rank,
-                          per_unit_betas=per_unit_betas, n_units=n, n_periods=t,
-                          n_regressors=d, **residuals)
+    def __init__(self, beta, method, eps_hat, v_hat, projection_rank, per_unit_betas=None):
+        n, t, d = v_hat.shape
+        vars(self).update(beta=beta, method=method, eps_hat=eps_hat, v_hat=v_hat,
+                          projection_rank=projection_rank, per_unit_betas=per_unit_betas,
+                          n_units=n, n_periods=t, n_regressors=d)
+
+    @classmethod
+    def _unformed(cls, beta, method, projection_rank, per_unit_betas, source):
+        """A result whose eps_hat = My - MX beta and v_hat = MX, M = I - U U', form on
+        first read from source = (y (N, T), X' (N, d, T), U (1, T, K))."""
+        result, (n, t), d = cls.__new__(cls), source[0].shape, source[1].shape[1]
+        vars(result).update(beta=beta, method=method, projection_rank=projection_rank,
+                            per_unit_betas=per_unit_betas, n_units=n, n_periods=t,
+                            n_regressors=d, _source=source)
+        return result
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: an EstimationResult is read-only")
@@ -76,16 +79,17 @@ class EstimationResult:
     def __getattr__(self, name):  # only an attribute not yet in __dict__ gets here
         if name not in ("eps_hat", "v_hat"):
             raise AttributeError(f"'EstimationResult' object has no attribute {name!r}")
-        with _FORMING:  # a second thread waits for the first's arrays
-            if name not in vars(self):
-                y, xt, u = self._source
-                eps, v = np.empty(y.shape), np.empty((*y.shape, self.n_regressors))
-                for lo, resid in _residual_blocks(y, xt, u):
-                    m = resid.shape[1]
-                    v[lo:lo + m] = resid[0, :, 1:].transpose(0, 2, 1)
-                    np.subtract(resid[0, :, 0], self.beta @ resid[0, :, 1:], out=eps[lo:lo + m])
-                vars(self).update(eps_hat=eps, v_hat=v)
-                del vars(self)["_source"]
+        source = vars(self).get("_source")
+        if source is not None:  # else a thread that formed them has published them
+            y, xt, u = source
+            eps, v = np.empty(y.shape), np.empty((*y.shape, self.n_regressors))
+            for lo, resid in _residual_blocks(y, xt, u):
+                m = resid.shape[1]
+                v[lo:lo + m] = resid[0, :, 1:].transpose(0, 2, 1)
+                np.subtract(resid[0, :, 0], self.beta @ resid[0, :, 1:], out=eps[lo:lo + m])
+            eps, v = vars(self).setdefault("_residuals", (eps, v))  # the first published wins
+            vars(self).update(eps_hat=eps, v_hat=v)
+            vars(self).pop("_source", None)
         return vars(self)[name]
 
     def __repr__(self) -> str:
@@ -269,9 +273,8 @@ def _fit(method: Method, p: PanelData, cols: np.ndarray, widths=None) -> Estimat
         method, z, np.ones((1, p.n_units)), cols, widths, p.unit_labels)
     if error is not None:
         raise error
-    return EstimationResult(beta[0], method, projection_rank=int(rank[0]),
-                            per_unit_betas=None if per_unit is None else per_unit[0],
-                            source=(*z, u))
+    return EstimationResult._unformed(beta[0], method, int(rank[0]),
+                                      None if per_unit is None else per_unit[0], (*z, u))
 
 
 @dataclass(frozen=True)

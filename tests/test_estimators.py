@@ -477,6 +477,7 @@ class TestKernel:
     def test_blocks_of_units_change_only_rounding(self, monkeypatch, method, units):
         p = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=7)).panel
         whole = EstimatorConfig(method).estimate(p)  # 10 units of 3 x 30 doubles: one block
+        whole.eps_hat  # form its residuals in that one block too, before the blocks shrink
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", units * 8 * 3 * 30)
         split = EstimatorConfig(method).estimate(p)
         assert np.abs(split.beta - whole.beta).max() <= 1e-14 * np.abs(whole.beta).max()
@@ -562,6 +563,8 @@ class TestLazyResiduals:
         assert getattr(result, first) is formed
         with pytest.raises(AttributeError, match="read-only"):
             result.beta = np.zeros(2)
+        with pytest.raises(TypeError):  # the public constructor takes the residuals
+            type(result)(beta=np.zeros(2), method=method, projection_rank=0)
 
     def test_threads_that_read_at_once_get_the_same_arrays(self):
         result = EstimatorConfig(Method.CCEP).estimate(noise_panel(200, 60, 3, 6))
