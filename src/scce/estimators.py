@@ -6,11 +6,12 @@ the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
 ``_estimate_reweighted``, solves a stack of panels, given as unit weights on
 one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
 residuals and Grams a cache-sized block of units at a time; no T x T matrix is
-formed. A point estimate is its one-panel case: it keeps no residuals, and its
-result forms eps_hat and v_hat on their first read, from the panel's read-only
-y and X, which it keeps alive until then. Bootstrap draws and Monte Carlo
-replications need only betas (``draw_betas``): their Grams are the downdates
-Z'Z - C C', C = Z U, unless the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
+formed; a block is a view of the panel's own (N, d + 1, T) stack Z of [y, X]'.
+A point estimate is its one-panel case: it keeps no residuals, and its result
+forms eps_hat and v_hat on their first read, from Z, which it keeps alive until
+then. Bootstrap draws and Monte Carlo replications need only betas (``draw_betas``):
+their Grams are the downdates Z'Z - C C', C = Z U, unless the projection
+removes nearly all of X (``_DOWNDATE_FLOOR``).
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class EstimationResult:
 
     ``eps_hat`` (N x T) and ``v_hat`` (N x T x d) lie in the orthogonal
     complement of the projection columns. An estimate's result forms both on
-    the first read of either, in one blocked pass over the panel's read-only y
-    and X, and keeps those arrays alive until then; reading anything else forms
+    the first read of either, in one blocked pass over the panel's [y, X]
+    stack, and keeps that stack alive until then; reading anything else forms
     no residuals. ``per_unit_betas`` is populated by the mean-group estimator
     only. A result is read-only.
     """
@@ -66,11 +67,11 @@ class EstimationResult:
     @classmethod
     def _unformed(cls, beta, method, projection_rank, per_unit_betas, source):
         """A result whose eps_hat = My - MX beta and v_hat = MX, M = I - U U', form on
-        first read from source = (y (N, T), X' (N, d, T), U (1, T, K))."""
-        result, (n, t), d = cls.__new__(cls), source[0].shape, source[1].shape[1]
+        first read from source = (Z = [y, X]' (N, d + 1, T), U (1, T, K))."""
+        result, (n, d1, t) = cls.__new__(cls), source[0].shape
         vars(result).update(beta=beta, method=method, projection_rank=projection_rank,
                             per_unit_betas=per_unit_betas, n_units=n, n_periods=t,
-                            n_regressors=d, _source=source)
+                            n_regressors=d1 - 1, _source=source)
         return result
 
     def __setattr__(self, name, value):
@@ -81,9 +82,9 @@ class EstimationResult:
             raise AttributeError(f"'EstimationResult' object has no attribute {name!r}")
         source = vars(self).get("_source")
         if source is not None:  # else a thread that formed them has published them
-            y, xt, u = source
-            eps, v = np.empty(y.shape), np.empty((*y.shape, self.n_regressors))
-            for lo, resid in _residual_blocks(y, xt, u):
+            eps = np.empty((self.n_units, self.n_periods))
+            v = np.empty((*eps.shape, self.n_regressors))
+            for lo, resid in _residual_blocks(*source):
                 m = resid.shape[1]
                 v[lo:lo + m] = resid[0, :, 1:].transpose(0, 2, 1)
                 np.subtract(resid[0, :, 0], self.beta @ resid[0, :, 1:], out=eps[lo:lo + m])
@@ -135,13 +136,6 @@ def _gate(gram: np.ndarray) -> np.ndarray:
     return ~finite | (eigvals[..., -1] <= 0) | (eigvals[..., 0] <= _EIG_GATE * eigvals[..., -1])
 
 
-def _stacked_yx(p: PanelData) -> np.ndarray:
-    """The panel's [y, X] as a C-contiguous (N, d + 1, T) array: its reshapes are views."""
-    z = np.empty((p.n_units, p.n_regressors + 1, p.n_periods))
-    z[:, 0], z[:, 1:] = p.y, p.x.transpose(0, 2, 1)
-    return z
-
-
 def _linear_columns(proxies: np.ndarray) -> np.ndarray:
     """[1, F_hat] of each proxy of a (..., C, T) stack: (..., T, 1 + C)."""
     f = np.swapaxes(proxies, -1, -2)
@@ -187,28 +181,27 @@ def _solve(method: Method, t: int, grams: np.ndarray, w, finite, rank, labels) -
     return per_unit[:, 0], errors, None
 
 
-def _residual_blocks(y: np.ndarray, xt: np.ndarray, u: np.ndarray):
-    """The residuals Z - (Z U) U' of Z = [y, X], y (N, T) and xt = X' (N, d, T),
-    on each basis of a (B, T, K) stack u, _BLOCK_BYTES of them at a time: yields
-    each block's first unit and its (B, m, d + 1, T) residuals, in buffers reused
-    so as not to fault in fresh pages."""
-    (n, t), d1, b = y.shape, xt.shape[1] + 1, len(u)
+def _residual_blocks(z: np.ndarray, u: np.ndarray):
+    """The residuals Z - (Z U) U' of a C-contiguous (N, d + 1, T) stack z of
+    [y, X]', on each basis of a (B, T, K) stack u, _BLOCK_BYTES of them at a
+    time: yields each block's first unit and its (B, m, d + 1, T) residuals,
+    in a buffer reused so as not to fault in fresh pages."""
+    (n, d1, t), b = z.shape, len(u)
     size = min(n, max(1, _BLOCK_BYTES // (8 * b * d1 * t)))
-    zb, rb = np.empty((size, d1, t)), np.empty((b, size * d1, t))
+    rb = np.empty((b, size * d1, t))
     for lo in range(0, n, size):
         m = min(size, n - lo)
-        zb[:m, 0], zb[:m, 1:] = y[lo:lo + m], xt[lo:lo + m]
-        zr, resid = zb[:m].reshape(-1, t), rb[:, :m * d1]
+        zr, resid = z[lo:lo + m].reshape(-1, t), rb[:, :m * d1]
         np.matmul(zr @ u, u.transpose(0, 2, 1), out=resid)
         np.subtract(zr, resid, out=resid)
         yield lo, resid.reshape(b, m, d1, t)
 
 
-def _residual_grams(y: np.ndarray, xt: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _residual_grams(z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The (B, N, d + 1, d + 1) per-unit Grams [y, X]' M [y, X] of ``_residual_blocks``."""
-    d1 = xt.shape[1] + 1
-    grams = np.empty((len(u), len(y), d1, d1))
-    for lo, resid in _residual_blocks(y, xt, u):
+    n, d1, _ = z.shape
+    grams = np.empty((len(u), n, d1, d1))
+    for lo, resid in _residual_blocks(z, u):
         grams[:, lo:lo + resid.shape[1]] = resid @ resid.transpose(0, 1, 3, 2)
     return grams
 
@@ -236,45 +229,42 @@ def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray
         low = ~((w * kept).sum(axis=1) > _DOWNDATE_FLOOR * (w @ total))
     low &= rank < t  # _solve rejects a draw of rank T without its Grams
     if low.any():
-        grams[low] = _residual_grams(z[:, 0], z[:, 1:], u[low])
+        grams[low] = _residual_grams(z, u[low])
     return grams
 
 
-def _estimate_reweighted(method: Method, z, w: np.ndarray, cols: np.ndarray,
+def _estimate_reweighted(method: Method, z: np.ndarray, w: np.ndarray, cols: np.ndarray,
                          widths, labels, residuals: bool = True) -> tuple:
     """The estimation kernel: panel b repeats unit i w[b, i] times (rows of w
     sum to N) and projects the span of cols[b] (``widths`` as in
-    ``_orthonormal_span``) out of z = [y, X], stacked (``_stacked_yx``) or,
-    with ``residuals``, the pair (y (N, T), X' (N, d, T)). Returns ``_solve``'s
-    betas and errors (``labels`` name the units), the (B,) ranks, the (B, T, K)
-    orthonormal bases and the CCEMG per-unit betas. With ``residuals`` the Grams
-    come from ``_residual_grams``, which keeps no residuals, else from
-    ``_downdated_grams``."""
-    y, xt = z if isinstance(z, tuple) else (z[:, 0], z[:, 1:])
+    ``_orthonormal_span``) out of a panel's (N, d + 1, T) stack z of [y, X]'.
+    Returns ``_solve``'s betas and errors (``labels`` name the units), the
+    (B,) ranks, the (B, T, K) orthonormal bases and the CCEMG per-unit betas.
+    With ``residuals`` the Grams come from ``_residual_grams``, which keeps no
+    residuals, else from ``_downdated_grams``."""
     finite = np.isfinite(cols).all(axis=(1, 2))
     u, rank = _orthonormal_span(np.where(finite[:, None, None], cols, 0.0), widths)
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports an overflow
         if residuals:
-            grams = _residual_grams(y, xt, u)
+            grams = _residual_grams(z, u)
         else:
             grams = _downdated_grams(method, z, w, u, rank)
         grams[w == 0] = 0.0  # a unit a panel leaves out must not overflow its sum
         if method != Method.CCEMG:
             grams = np.einsum("bi,bikl->bkl", w, grams)[:, None]
-    beta, errors, per_unit = _solve(method, y.shape[1], grams, w, finite, rank, labels)
+    beta, errors, per_unit = _solve(method, z.shape[2], grams, w, finite, rank, labels)
     return beta, errors, rank, u, per_unit
 
 
 def _fit(method: Method, p: PanelData, cols: np.ndarray, widths=None) -> EstimationResult:
     """The kernel's B = 1, w = 1 case: estimate p with projection columns cols[0];
     the result forms its residuals when they are first read."""
-    z = (p.y, p.x.transpose(0, 2, 1))
     beta, (error,), rank, u, per_unit = _estimate_reweighted(
-        method, z, np.ones((1, p.n_units)), cols, widths, p.unit_labels)
+        method, p._z, np.ones((1, p.n_units)), cols, widths, p.unit_labels)
     if error is not None:
         raise error
     return EstimationResult._unformed(beta[0], method, int(rank[0]),
-                                      None if per_unit is None else per_unit[0], (*z, u))
+                                      None if per_unit is None else per_unit[0], (p._z, u))
 
 
 @dataclass(frozen=True)
@@ -314,13 +304,13 @@ class EstimatorConfig:
         j = knot_count(proxies.shape[-1], self.knot_c, self.knot_rate)
         return _sieve_stack(proxies, self.family, j)[:2]
 
-    def draw_betas(self, z: np.ndarray, w: np.ndarray) -> list:
-        """``self.estimate(q).beta`` of each panel q that repeats unit i of z
-        (``_stacked_yx``) w[b, i] times, or its ScceError; q's proxy is the
-        plain mean w[b] Z / N, and its Grams are downdates, with no residuals."""
-        n, d1, t = z.shape
-        cols, widths = self.columns((w @ z.reshape(n, -1) / n).reshape(-1, d1, t))
-        beta, errors, *_ = _estimate_reweighted(self.method, z, w, cols, widths, range(n),
+    def draw_betas(self, p: PanelData, w: np.ndarray) -> list:
+        """``self.estimate(q).beta`` of each panel q that repeats unit i of p
+        w[b, i] times, or its ScceError; q's proxy is the plain mean w[b] Z / N
+        of p's stack Z, and its Grams are downdates, with no residuals."""
+        n, d1, t = p._z.shape
+        cols, widths = self.columns((w @ p._z.reshape(n, -1) / n).reshape(-1, d1, t))
+        beta, errors, *_ = _estimate_reweighted(self.method, p._z, w, cols, widths, range(n),
                                                 residuals=False)
         return [b if e is None else e for b, e in zip(beta, errors)]
 

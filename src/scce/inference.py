@@ -31,7 +31,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .estimators import (_BLOCK_BYTES, EstimationResult, EstimatorConfig, Method, _gate,
-                         _linear_columns, _orthonormal_span, _solve, _stacked_yx)
+                         _linear_columns, _orthonormal_span, _solve)
 from .panel import PanelData, cross_sectional_average
 from .sieve import TAG_NONLINEAR, SieveBasis
 from .simulate import drop_skipped, pool_map, stream
@@ -189,8 +189,7 @@ def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> B
     runs (over chunks) give identical draws. Draws that fail are skipped and
     counted; more than 1% skipped is an error that names the commonest cause.
     """
-    z = _stacked_yx(p)
-    n, d1, t = z.shape
+    n, d1, t = p.n_units, p.n_regressors + 1, p.n_periods
     k = config.columns(cross_sectional_average(p).values.T[None])[0].shape[-1]
     size = max(1, _CHUNK_BYTES // (8 * k * (n * d1 + t)))
 
@@ -198,7 +197,7 @@ def bootstrap_ci(p: PanelData, config: BootstrapConfig = BootstrapConfig()) -> B
         draws = range(c * size, min((c + 1) * size, config.n_draws))
         w = np.array([np.bincount(stream(config.seed, b).integers(0, n, size=n), minlength=n)
                       for b in draws], dtype=np.float64)
-        return config.draw_betas(z, w)
+        return config.draw_betas(p, w)
 
     chunks = pool_map(chunk, -(-config.n_draws // size), config.max_workers)
     kept, skipped = drop_skipped([beta for c in chunks for beta in c], "draws")
@@ -222,7 +221,7 @@ def _project_panel(p: PanelData, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # faster than over the strided time axis of (N, T, d), in the same order,
     # so the bits hold at d >= 2 (d = 1 moves in the last bit). The contiguous
     # u' and the C-ordered result are part of that: their views change bits.
-    # .copy(), since at d = 1 ascontiguousarray would return read-only p.x.
+    # .copy(), since for N = 1 ascontiguousarray would return a read-only view.
     xt = p.x.transpose(0, 2, 1).copy()
     xt -= np.einsum("rt,ikr->ikt", np.ascontiguousarray(u.T), np.einsum("tr,ikt->ikr", u, xt))
     return my, np.ascontiguousarray(xt.transpose(0, 2, 1))

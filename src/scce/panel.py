@@ -1,9 +1,10 @@
 """Balanced-panel data model, validation, and preprocessing.
 
-Holds the observed panel (y, X), performs first differencing, and computes
-once per panel the cross-sectional averages that serve as the factor proxy,
-in ascending unit-label order with compensated (Kahan) summation, so that
-results are bit-stable across runs and unit orderings.
+Holds the observed panel as one read-only (N, d + 1, T) stack of each unit's
+[y, X]', the layout the estimators read, with y and X as views of it; performs
+first differencing; and computes once per panel the cross-sectional averages
+that serve as the factor proxy, in ascending unit-label order with compensated
+(Kahan) summation, so that results are bit-stable across runs and unit orderings.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ __all__ = ["PanelData", "FactorProxy", "validate_panel", "load_panel_csv",
 class PanelData:
     """Balanced N x T panel with d regressors.
 
-    ``y`` is N x T and ``x`` is N x T x d, both stored read-only. Unit labels
-    are unique; time labels are strictly increasing and only their order
-    matters, except that differencing requires integer labels to be consecutive.
+    y (N x T) and x (N x T x d) are copied into one C-contiguous, read-only
+    (N, d + 1, T) stack of each unit's [y_i, x_i]'; ``y`` and ``x`` are views
+    of it, not C-contiguous. Unit labels are unique; time labels are strictly
+    increasing and only their order matters, except that differencing
+    requires integer labels to be consecutive.
     """
 
     y: np.ndarray
@@ -43,8 +46,8 @@ class PanelData:
     time_labels: tuple
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.float64)
+        x = np.asarray(self.x, dtype=np.float64)
         if y.ndim != 2 or x.ndim != 3:
             raise PanelDataError(f"expected y 2-d and x 3-d, got {y.ndim}-d and {x.ndim}-d")
         n, t = y.shape
@@ -58,14 +61,16 @@ class PanelData:
             raise PanelDataError("unit labels must be unique")
         if any(b <= a for a, b in zip(self.time_labels, self.time_labels[1:])):
             raise PanelDataError("time labels must be strictly increasing")
-        if not (np.isfinite(y).all() and np.isfinite(x).all()):
-            i, j = np.argwhere(~(np.isfinite(y) & np.isfinite(x).all(axis=2)))[0]
+        z = np.empty((n, x.shape[2] + 1, t))
+        z[:, 0], z[:, 1:] = y, x.transpose(0, 2, 1)
+        if not np.isfinite(z).all():
+            i, j = np.argwhere(~np.isfinite(z).all(axis=1))[0]
             raise NonFiniteValue(f"non-finite value in cell (unit={self.unit_labels[i]!r}, "
                                  f"time={self.time_labels[j]!r})")
-        y.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
+        z.setflags(write=False)
+        object.__setattr__(self, "_z", z)
+        object.__setattr__(self, "y", z[:, 0])
+        object.__setattr__(self, "x", z[:, 1:].transpose(0, 2, 1))
         object.__setattr__(self, "unit_labels", tuple(self.unit_labels))
         object.__setattr__(self, "time_labels", tuple(self.time_labels))
 
@@ -83,13 +88,12 @@ class PanelData:
 
     @functools.cached_property
     def _proxy(self) -> FactorProxy:
-        """The ``cross_sectional_average``, each unit's [y_i, x_i] filled into one buffer."""
-        total = np.zeros((self.n_periods, self.n_regressors + 1))
+        """The ``cross_sectional_average``: each unit's contiguous (d + 1, T) slice, added."""
+        total = np.zeros(self._z.shape[1:])
         comp, new, row = np.zeros_like(total), np.empty_like(total), np.empty_like(total)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
             for i in sorted(range(self.n_units), key=self.unit_labels.__getitem__):
-                row[:, 0], row[:, 1:] = self.y[i], self.x[i]
-                row -= comp
+                np.subtract(self._z[i], comp, out=row)
                 np.add(total, row, out=new)
                 np.subtract(new, total, out=comp)
                 comp -= row
@@ -97,7 +101,7 @@ class PanelData:
         if not np.isfinite(total).all():
             raise NumericalError("factor proxy overflows: the cross-sectional sums are too "
                                  "large; rescale the data")
-        return FactorProxy(values=total / self.n_units)
+        return FactorProxy(values=total.T / self.n_units)
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,10 @@ def validate_panel(records) -> PanelData:
         rows = [cells[u, tm] for u in units for tm in times]
     except KeyError as exc:
         raise UnbalancedPanel(*exc.args[0]) from None
-    # Fill y and x directly: no (N, T, d + 1) grid alive beside both.
-    y = np.fromiter((r[0] for r in rows), np.float64, n * t_len).reshape(n, t_len)
-    x = np.fromiter((v for r in rows for v in r[1:]), np.float64, n * t_len * (width - 3))
-    return PanelData(y=y, x=x.reshape(n, t_len, -1), unit_labels=tuple(units),
+    values = np.fromiter((v for r in rows for v in r), np.float64, n * t_len * (width - 2))
+    del cells, rows  # the records go before PanelData copies the values
+    values = values.reshape(n, t_len, -1)
+    return PanelData(y=values[..., 0], x=values[..., 1:], unit_labels=tuple(units),
                      time_labels=tuple(times))
 
 
@@ -225,9 +229,10 @@ def _parse_body(fh, width: int) -> PanelData | None:
     if ((np.bincount(cell, minlength=n * t) != 1).any()
             or max(map(len, fh.buffer)) > csv.field_size_limit()):
         return None
-    y, x = np.empty(n * t), np.empty((n * t, width - 3))
-    y[cell], x[cell] = rows["values"][:, 0], rows["values"][:, 1:]
-    return PanelData(y=y.reshape(n, t), x=x.reshape(n, t, -1), unit_labels=tuple(units),
+    values = np.empty((n, t, width - 2))
+    values.reshape(n * t, -1)[cell] = rows["values"]
+    del rows, labels, cell, time_index, index  # the parse goes before PanelData copies values
+    return PanelData(y=values[..., 0], x=values[..., 1:], unit_labels=tuple(units),
                      time_labels=tuple(times.tolist()))
 
 
@@ -254,12 +259,9 @@ def first_difference(p: PanelData) -> PanelData:
         if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)) and b - a != 1:
             raise PanelDataError(f"time labels skip from {a} to {b}; first differencing "
                                  "needs consecutive periods")
-    return PanelData(
-        y=np.diff(p.y, axis=1),
-        x=np.diff(p.x, axis=1),
-        unit_labels=p.unit_labels,
-        time_labels=p.time_labels[1:],
-    )
+    dz = np.diff(p._z, axis=2)
+    return PanelData(y=dz[:, 0], x=dz[:, 1:].transpose(0, 2, 1), unit_labels=p.unit_labels,
+                     time_labels=p.time_labels[1:])
 
 
 def cross_sectional_average(p: PanelData) -> FactorProxy:

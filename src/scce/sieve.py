@@ -126,9 +126,17 @@ def compute_knots(series: np.ndarray, j: int) -> np.ndarray:
 
 def _knots(series: np.ndarray, j: int) -> np.ndarray:
     """``compute_knots`` of each series of a (..., T) stack, ascending, with each
-    tied knot after the first of its value set to +inf: shape (..., max(j, 0))."""
-    probs = np.arange(1, j + 1) / (j + 1)
-    knots = np.sort(np.moveaxis(np.quantile(series, probs, axis=-1, method="linear"), 0, -1))
+    tied knot after the first of its value set to +inf: shape (..., max(j, 0)).
+    np.quantile's "linear" bits, its partition (the order of tied -0.0 and +0.0
+    sets a knot's sign) and NaN rule included, without its import of numpy.ma."""
+    index = (series.shape[-1] - 1) * (np.arange(1, j + 1) / (j + 1))
+    lo = np.floor(index).astype(np.intp)
+    gamma = index - lo
+    part = np.partition(series, sorted({0, -1, *lo.tolist(), *(lo + 1).tolist()}), axis=-1)
+    a, b = part[..., lo], part[..., lo + 1]
+    knots = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
+    knots[np.isnan(part[..., -1])] = np.nan
+    knots = np.sort(knots)
     knots[..., 1:][knots[..., 1:] == knots[..., :-1]] = np.inf
     return knots
 

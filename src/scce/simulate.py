@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PanelDataError, ScceError, TooManySkipped
-from .estimators import EstimatorConfig, Method, _stacked_yx
+from .estimators import EstimatorConfig, Method
 from .panel import PanelData
 from .sieve import knot_count
 
@@ -314,7 +314,7 @@ def monte_carlo_run(grid, dgp_config: DgpConfig,
         def error(rep: int) -> np.ndarray | ScceError:  # a rejected draw is a skip
             sim = generate_panel(replace(dgp_config, n=n, t=t,
                                          seed=_pack_stream_seed(seed, cell_idx, rep)))
-            beta = estimator.draw_betas(_stacked_yx(sim.panel), np.ones((1, n)))[0]
+            beta = estimator.draw_betas(sim.panel, np.ones((1, n)))[0]
             return beta if isinstance(beta, ScceError) else beta - sim.beta
 
         kept, skipped = drop_skipped(pool_map(error, reps))

@@ -357,6 +357,21 @@ def test_estimate_and_simulate_load_no_scipy_module(panel_csv, tmp_path):
     assert (tmp_path / "e").stat().st_size and (tmp_path / "s").stat().st_size
 
 
+def test_estimate_and_linearity_leave_numpy_ma_to_scipy(panel_csv, tmp_path):
+    # np.quantile imports numpy.ma (6 ms cold); the knots are placed without it.
+    # test-linearity's import of scipy.special imports numpy.ma, so only after scipy.
+    src = os.path.dirname(os.path.dirname(scce.__file__))
+    code = ("import json, sys, scce.cli\n"
+            "assert scce.cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps([m for m in sys.modules if m in ('numpy.ma', 'scipy')]))")
+    for command in ("estimate", "test-linearity"):
+        argv = [command, "--input", panel_csv, "--output", str(tmp_path / command)]
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        loaded = json.loads(out.stdout)
+        assert loaded == ([] if command == "estimate" else ["scipy", "numpy.ma"]), command
+
+
 def test_linearity_imports_scipy_special_and_keeps_its_bytes(panel_csv, tmp_path):
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     before, after = cold_run(["test-linearity", "--input", panel_csv, "--output", str(cold)])

@@ -40,7 +40,7 @@ from scce import (
     scce_estimate,
 )
 from scce import estimators
-from scce.estimators import _estimate_reweighted, _orthonormal_span, _stacked_yx
+from scce.estimators import _estimate_reweighted, _orthonormal_span
 from scce.inference import _project_panel, hac_covariance
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR
 
@@ -339,7 +339,8 @@ class TestProjectPanel:
         u, rank = _orthonormal_span(EstimatorConfig().basis(p).matrix)
         u = u[:, :rank]
         my, mx = _project_panel(p, u)
-        assert mx.tobytes() == _former_projection(u, p.x).tobytes()
+        # einsum's bits follow its input's strides: the reference ran on a contiguous x.
+        assert mx.tobytes() == _former_projection(u, np.ascontiguousarray(p.x)).tobytes()
         assert mx.flags.c_contiguous
         assert my.tobytes() == (p.y - (p.y @ u) @ u.T).tobytes()
 
@@ -438,7 +439,7 @@ class TestKernel:
         # A two-panel stack over [failing units, good units]: panel 0 repeats
         # each failing unit twice and panel 1 each good unit.
         good = _good_panel(p.n_periods)
-        z = np.concatenate([_stacked_yx(p), _stacked_yx(good)])
+        z = np.concatenate([p._z, good._z])
         w = np.kron(np.eye(2), np.full(10, 2.0))
         config = EstimatorConfig(method)
         cols, widths = config.columns((w @ z.reshape(20, -1) / 20).reshape(2, 3, -1))
@@ -466,7 +467,7 @@ class TestKernel:
         cols[0], cols[1, :, :4] = sieve, np.hstack([np.ones((20, 1)),
                                                     cross_sectional_average(p).values])
         beta, errors, rank, _, _ = _estimate_reweighted(
-            Method.SCCE, _stacked_yx(p), np.ones((2, 20)), cols, None, p.unit_labels)
+            Method.SCCE, p._z, np.ones((2, 20)), cols, None, p.unit_labels)
         assert type(errors[0]) is TooSmall and str(errors[0]) == message
         assert errors[1] is None and rank.tolist() == [20, 4]
         want = ccep_estimate(p).beta
@@ -508,8 +509,11 @@ class TestKernel:
 
     def test_the_stacked_panel_is_contiguous_and_results_hold_no_view_of_it(self, random_panel):
         p = random_panel(n=7, t=30, d=3, beta=(1.0, 2.0, 3.0), seed=42)
-        z = _stacked_yx(p)
-        assert z.flags.c_contiguous and z.shape == (7, 4, 30)
+        z = p._z
+        assert z.flags.c_contiguous and not z.flags.writeable and z.shape == (7, 4, 30)
+        assert p.y.base is z and p.x.base is z
+        assert p.y.shape == (7, 30) and p.x.shape == (7, 30, 3)
+        assert not (p.y.flags.writeable or p.x.flags.writeable)
         assert z[:, 0].tobytes() == p.y.tobytes()
         assert z[:, 1:].tobytes() == np.ascontiguousarray(p.x.transpose(0, 2, 1)).tobytes()
         for shape in ((7, -1), (28, 30)):

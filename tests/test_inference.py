@@ -360,9 +360,9 @@ def chunk_sizes(monkeypatch, p, config):
     sizes = []
     draw_betas = EstimatorConfig.draw_betas
 
-    def counted(config, z, w):
+    def counted(config, panel, w):
         sizes.append(len(w))
-        return draw_betas(config, z, w)
+        return draw_betas(config, panel, w)
 
     monkeypatch.setattr(EstimatorConfig, "draw_betas", counted)
     bootstrap_ci(p, config)
@@ -466,9 +466,8 @@ class TestBatchedBootstrap:
         y = p.y.copy()
         y[0] *= 2.2e103 / np.abs(y[0]).max()
         p = make_panel(y, p.x)
-        z = np.concatenate([p.y[:, None, :], p.x.transpose(0, 2, 1)], axis=1)
         rows = [[1] * 10, [3, 0, 0] + [1] * 7, [0, 2] + [1] * 8]
-        got = EstimatorConfig().draw_betas(z, np.array(rows, dtype=float))
+        got = EstimatorConfig().draw_betas(p, np.array(rows, dtype=float))
         assert isinstance(got[1], NumericalError)
         units = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 1, 2, 3, 4, 5, 6, 7, 8, 9]]
         for beta, idx in zip((got[0], got[2]), units):

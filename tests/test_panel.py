@@ -80,6 +80,13 @@ class TestPanelData:
         with pytest.raises(ValueError):
             p.y[0, 0] = 99.0
 
+    def test_the_callers_arrays_stay_writable_and_apart(self):
+        y, x = np.arange(12.0).reshape(3, 4), np.arange(24.0).reshape(3, 4, 2)
+        p = make_panel(y, x)
+        y[0, 0], x[0, 0, 0] = 1.0, 1.0
+        assert p.y[0, 0] == 0.0 and p.x[0, 0, 0] == 0.0
+        assert np.array_equal(p.y[1:], y[1:]) and np.array_equal(p.x[1:], x[1:])
+
     def test_rejects_nonfinite(self):
         y = np.ones((2, 3))
         y[0, 1] = np.inf

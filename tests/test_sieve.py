@@ -69,6 +69,26 @@ class TestComputeKnots:
         assert np.array_equal(compute_knots(series, 3),
                               compute_knots(series[::-1].copy(), 3))
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(t=st.integers(2, 600), j=st.integers(0, 8), seed=st.integers(0, 2**16),
+           kind=st.sampled_from(["normal", "ties", "signed_zeros", "zeros_and_ones",
+                                 "constant", "nan"]))
+    def test_bits_match_numpys_linear_quantile(self, t, j, seed, kind):
+        rng = np.random.default_rng(seed)
+        series = {"normal": lambda: rng.normal(size=t),
+                  "ties": lambda: np.round(rng.normal(size=t), 1),  # also -0.0
+                  "signed_zeros": lambda: rng.choice([-0.0, 0.0], size=t),
+                  "zeros_and_ones": lambda: rng.choice([-0.0, 0.0, 1.0, -1.0], size=t),
+                  "constant": lambda: np.full(t, rng.normal()),
+                  "nan": lambda: np.where(np.arange(t) == rng.integers(t), np.nan,
+                                          rng.normal(size=t))}[kind]()
+        stack = np.stack([series, rng.permutation(series)])
+        for data in (series, stack):
+            probs = np.arange(1, j + 1) / (j + 1)
+            want = np.sort(np.moveaxis(np.quantile(data, probs, axis=-1, method="linear"), 0, -1))
+            want[..., 1:][want[..., 1:] == want[..., :-1]] = np.inf
+            assert _knots(data, j).tobytes() == want.tobytes()
+
     def test_strictly_increasing(self):
         rng = np.random.default_rng(1)
         series = np.round(rng.normal(size=30), 1)  # force some ties
