@@ -7,11 +7,11 @@ the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
 one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
 residuals and Grams a cache-sized block of units at a time; no T x T matrix is
 formed; a block is a view of the panel's own (N, d + 1, T) stack Z of [y, X]'.
-A point estimate is its one-panel case: it keeps no residuals, and its result
-forms eps_hat and v_hat on their first read, from Z, which it keeps alive until
-then. Bootstrap draws and Monte Carlo replications need only betas (``draw_betas``):
-their Grams are the downdates Z'Z - C C', C = Z U, unless the projection
-removes nearly all of X (``_DOWNDATE_FLOOR``).
+A point estimate is its one-panel case; its result keeps no residuals, reading
+them from Z by blocks (``EstimationResult._blocks``) for the HAC or to form
+eps_hat and v_hat on first read. Draws and Monte Carlo replications need only
+betas (``draw_betas``): their Grams are the downdates Z'Z - C C', C = Z U,
+unless the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ _EIG_GATE = 1e-10
 # a unit's weakest direction); at r <= this floor a draw's Grams come from
 # its residuals instead.
 _DOWNDATE_FLOOR = 1e-3
-# Bytes of [y, X] (or of HAC scores) per block of units: a block and its
-# residuals stay in cache from the GEMMs that project them to their Grams.
+# Bytes of [y, X] per block of units: a block and its residuals stay in cache
+# from the GEMMs that project them to their Grams or the HAC's scores.
 _BLOCK_BYTES = 256 << 10
 
 
@@ -51,11 +51,11 @@ class EstimationResult:
     """Coefficients plus the projected residual matrices used for inference.
 
     ``eps_hat`` (N x T) and ``v_hat`` (N x T x d) lie in the orthogonal
-    complement of the projection columns. An estimate's result forms both on
-    the first read of either, in one blocked pass over the panel's [y, X]
-    stack, and keeps that stack alive until then; reading anything else forms
-    no residuals. ``per_unit_betas`` is populated by the mean-group estimator
-    only. A result is read-only.
+    complement of the projection columns. An estimate's result keeps the
+    panel's [y, X] stack until either is read, then forms both in one blocked
+    pass; the HAC reads its blocks (``_blocks``) and forms neither, nor does
+    reading anything else. ``per_unit_betas`` is populated by the mean-group
+    estimator only. A result is read-only.
     """
 
     def __init__(self, beta, method, eps_hat, v_hat, projection_rank, per_unit_betas=None):
@@ -80,18 +80,28 @@ class EstimationResult:
     def __getattr__(self, name):  # only an attribute not yet in __dict__ gets here
         if name not in ("eps_hat", "v_hat"):
             raise AttributeError(f"'EstimationResult' object has no attribute {name!r}")
-        source = vars(self).get("_source")
-        if source is not None:  # else a thread that formed them has published them
+        if "_source" in vars(self):  # else a thread that formed them has published them
             eps = np.empty((self.n_units, self.n_periods))
             v = np.empty((*eps.shape, self.n_regressors))
-            for lo, resid in _residual_blocks(*source):
-                m = resid.shape[1]
-                v[lo:lo + m] = resid[0, :, 1:].transpose(0, 2, 1)
-                np.subtract(resid[0, :, 0], self.beta @ resid[0, :, 1:], out=eps[lo:lo + m])
+            for lo, e, vt in self._blocks():
+                eps[lo:lo + len(e)], v[lo:lo + len(e)] = e, vt.transpose(0, 2, 1)
             eps, v = vars(self).setdefault("_residuals", (eps, v))  # the first published wins
             vars(self).update(eps_hat=eps, v_hat=v)
             vars(self).pop("_source", None)
         return vars(self)[name]
+
+    def _blocks(self):
+        """Each _BLOCK_BYTES block of units' first unit, eps_hat (m, T) and v_hat
+        time-last (m, d, T): projected from the panel until they are formed, v_hat in
+        a buffer the next block reuses; then views of the formed arrays, same blocks."""
+        source = vars(self).get("_source")
+        if source is not None:
+            for lo, resid in _residual_blocks(*source):
+                yield lo, resid[0, :, 0] - self.beta @ resid[0, :, 1:], resid[0, :, 1:]
+            return
+        size = max(1, _BLOCK_BYTES // (8 * (self.n_regressors + 1) * self.n_periods))
+        for lo in range(0, self.n_units, size):
+            yield lo, self.eps_hat[lo:lo + size], self.v_hat[lo:lo + size].transpose(0, 2, 1)
 
     def __repr__(self) -> str:
         return (f"EstimationResult(beta={self.beta!r}, method={self.method!r}, projection_rank="
@@ -199,11 +209,7 @@ def _residual_blocks(z: np.ndarray, u: np.ndarray):
 
 def _residual_grams(z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The (B, N, d + 1, d + 1) per-unit Grams [y, X]' M [y, X] of ``_residual_blocks``."""
-    n, d1, _ = z.shape
-    grams = np.empty((len(u), n, d1, d1))
-    for lo, resid in _residual_blocks(z, u):
-        grams[:, lo:lo + resid.shape[1]] = resid @ resid.transpose(0, 1, 3, 2)
-    return grams
+    return np.concatenate([r @ r.transpose(0, 1, 3, 2) for _, r in _residual_blocks(z, u)], 1)
 
 
 def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray,

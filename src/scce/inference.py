@@ -3,9 +3,8 @@
 Covers the residual second-moment matrix, the Bartlett-kernel HAC long-run
 covariance, the sandwich covariance and standard errors, pair-bootstrap
 percentile confidence intervals, a score-type test of factor linearity, and
-an augmented Dickey-Fuller pretest with BIC lag selection. The HAC pads each
-unit's scores with L zeros, so that the L + 1 lag GEMMs of each cache-sized
-block of units pair no two units.
+an augmented Dickey-Fuller pretest with BIC lag selection. Sigma_v and the HAC
+reduce one pass over a result's blocks of units (``_moments``), unit by unit.
 The linearity statistic's restricted CCEP fit, the one solve outside the
 kernel, keeps its own einsums here (``_restricted_residuals``).
 
@@ -30,8 +29,8 @@ from .errors import (
     SingularSigmaV,
     WindowTooLarge,
 )
-from .estimators import (_BLOCK_BYTES, EstimationResult, EstimatorConfig, Method, _gate,
-                         _linear_columns, _orthonormal_span, _solve)
+from .estimators import (EstimationResult, EstimatorConfig, Method, _gate, _linear_columns,
+                         _orthonormal_span, _solve)
 from .panel import PanelData, cross_sectional_average
 from .sieve import TAG_NONLINEAR, SieveBasis
 from .simulate import drop_skipped, pool_map, stream
@@ -87,27 +86,42 @@ def default_hac_window(t_periods: int) -> int:
     return int(math.floor(t_periods ** (1.0 / 3.0)))
 
 
-def sigma_v_hat(result: EstimationResult) -> np.ndarray:
-    """(1/NT) sum_i V_hat_i' V_hat_i."""
-    v = result.v_hat.reshape(-1, result.n_regressors)
-    with np.errstate(over="ignore", invalid="ignore"):  # sandwich_covariance gates inf
-        gram = v.T @ v / len(v)
-    return (gram + gram.T) / 2.0
-
-
-def _check_window(window: int, t: int) -> None:
+def _window(window: int | None, t: int, default: int) -> int:
+    window = default if window is None else window
     if window < 0 or window >= t:
         raise WindowTooLarge(f"HAC window must satisfy 0 <= L <= T-1; got L={window}, T={t}")
+    return window
 
 
-def _bartlett(lag_cov, window: int) -> np.ndarray:
-    """Gamma_0 + sum_{l=1..L} (1 - l/(L+1)) (Gamma_l + Gamma_l'), symmetrised;
-    ``lag_cov(l)`` returns Gamma_l."""
-    total = lag_cov(0)
-    for lag in range(1, window + 1):
-        gamma = lag_cov(lag)
-        total += (1.0 - lag / (window + 1.0)) * (gamma + gamma.T)
+def _bartlett(gammas) -> np.ndarray:
+    """Gamma_0 + sum_{l=1..L} (1 - l/(L+1)) (Gamma_l + Gamma_l'), symmetrised,
+    of the L + 1 matrices ``gammas``."""
+    total = gammas[0].copy()
+    for lag in range(1, len(gammas)):
+        total += (1.0 - lag / len(gammas)) * (gammas[lag] + gammas[lag].T)
     return (total + total.T) / 2.0
+
+
+def _moments(result: EstimationResult, window: int | None) -> tuple:
+    """Sigma_v, the Bartlett Theta and the window, in one pass over
+    ``EstimationResult._blocks``; lag products are per unit, pairing no two units."""
+    n, t, d = result.n_units, result.n_periods, result.n_regressors
+    window = _window(window, t, default_hac_window(t))
+    gram, total = np.zeros((d, d)), np.zeros((window + 1, d, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # sandwich_covariance gates inf
+        for _, eps, v in result._blocks():
+            v = np.ascontiguousarray(v.transpose(1, 0, 2))  # one (d, m, T) layout, either source
+            gram += v.reshape(d, -1) @ v.reshape(d, -1).T
+            s = (eps * v).transpose(1, 0, 2)  # each unit's scores eps_it v_it
+            for lag in range(window + 1):
+                total[lag] += (s[..., lag:] @ s[..., :t - lag].transpose(0, 2, 1)).sum(0)
+        total /= n * t
+        return (gram + gram.T) / (2.0 * n * t), _bartlett(total), window
+
+
+def sigma_v_hat(result: EstimationResult) -> np.ndarray:
+    """(1/NT) sum_i V_hat_i' V_hat_i."""
+    return _moments(result, 0)[0]
 
 
 def hac_theta(result: EstimationResult, window: int | None = None) -> np.ndarray:
@@ -116,22 +130,7 @@ def hac_theta(result: EstimationResult, window: int | None = None) -> np.ndarray
     Theta_l = (1/NT) sum_i sum_{t>l} eps_it eps_{i,t-l} v_it v_{i,t-l}' and
     Theta = Theta_0 + sum_{l=1..L} (1 - l/(L+1)) (Theta_l + Theta_l').
     """
-    n, t, d = result.v_hat.shape
-    if window is None:
-        window = default_hac_window(t)
-    _check_window(window, t)
-    size = min(n, max(1, _BLOCK_BYTES // (8 * d * (t + window))))
-    s, total = np.zeros((d, size, t + window)), np.zeros((window + 1, d, d))  # T scores, L zeros
-    with np.errstate(over="ignore", invalid="ignore"):  # sandwich_covariance gates inf
-        for lo in range(0, n, size):
-            m = min(size, n - lo)
-            np.multiply(result.eps_hat[lo:lo + m], result.v_hat[lo:lo + m].transpose(2, 0, 1),
-                        out=s[:, :m, :t])
-            block = s[:, :m].reshape(d, -1)  # a copy only for a short last block
-            for lag in range(window + 1):
-                total[lag] += block[:, lag:] @ block[:, :block.shape[1] - lag].T
-        total /= n * t
-        return _bartlett(lambda lag: total[lag].copy(), window)
+    return _moments(result, window)[1]
 
 
 def sandwich_covariance(sigma_v: np.ndarray, theta: np.ndarray,
@@ -156,11 +155,8 @@ def sandwich_covariance(sigma_v: np.ndarray, theta: np.ndarray,
 
 def hac_covariance(result: EstimationResult, window: int | None = None) -> CovarianceEstimate:
     """Convenience wrapper: Sigma_v, HAC Theta, and the sandwich in one call."""
-    t = result.n_periods
-    if window is None:
-        window = default_hac_window(t)
-    return sandwich_covariance(sigma_v_hat(result), hac_theta(result, window),
-                               result.n_units, t, window)
+    sigma_v, theta, window = _moments(result, window)
+    return sandwich_covariance(sigma_v, theta, result.n_units, result.n_periods, window)
 
 
 @dataclass(frozen=True)
@@ -265,9 +261,7 @@ def linearity_test(p: PanelData, basis: SieveBasis,
     if nonlinear.shape[1] == 0:
         raise NoNonlinearColumns("basis has no nonlinear columns to test")
     n, t = p.n_units, p.n_periods
-    if window is None:
-        window = 2 * default_hac_window(t)
-    _check_window(window, t)
+    window = _window(window, t, 2 * default_hac_window(t))
 
     u, proxy_rank = _orthonormal_span(_linear_columns(cross_sectional_average(p).values.T))
     u = u[:, :proxy_rank]  # an orthonormal basis of [1, F_hat]
@@ -290,7 +284,7 @@ def linearity_test(p: PanelData, basis: SieveBasis,
         wl = (resid[:, lag:] * resid[:, :t - lag]).sum(axis=0)
         return (q_cols[lag:] * wl[:, None]).T @ q_cols[:t - lag] / (n * t)
 
-    cov = _bartlett(lag_cov, window)
+    cov = _bartlett([lag_cov(lag) for lag in range(window + 1)])
     cov *= t / (t - proxy_rank)
 
     cov_pinv = np.linalg.pinv(cov)

@@ -20,6 +20,7 @@ from scce import (
     BasisKind,
     Dgp,
     DgpConfig,
+    EstimationResult,
     EstimatorConfig,
     KnotRate,
     Method,
@@ -540,7 +541,8 @@ class TestKernel:
 
 class TestLazyResiduals:
     """A point estimate forms eps_hat and v_hat on the first read of either,
-    in one blocked pass over the panel; reading anything else runs no pass."""
+    in one blocked pass over the panel; reading anything else runs no pass,
+    and the HAC reads the same blocks of units without forming them."""
 
     @pytest.mark.parametrize("first", ["eps_hat", "v_hat"])
     @pytest.mark.parametrize("method", list(Method))
@@ -589,10 +591,11 @@ class TestLazyResiduals:
         assert all(a is result.v_hat for a in reads[1::2])
 
     @pytest.mark.parametrize("method", list(Method))
-    def test_an_estimate_allocates_no_residuals_until_the_hac_reads_them(self, method):
+    def test_neither_an_estimate_nor_its_hac_allocates_residuals(self, method):
         p = generate_panel(DgpConfig(dgp=Dgp.E1, n=1000, t=200, seed=2)).panel
-        n, t, d = p.n_units, p.n_periods, p.n_regressors
-        EstimatorConfig(method).estimate(p)  # what a first call imports is not traced
+        n, t = p.n_units, p.n_periods
+        # What a first call imports is not traced.
+        hac_covariance(EstimatorConfig(method).estimate(p))
         tracemalloc.start()
         try:
             result = EstimatorConfig(method).estimate(p)
@@ -603,7 +606,22 @@ class TestLazyResiduals:
         finally:
             tracemalloc.stop()
         assert estimate_peak < 8 * n * t
-        assert hac_peak >= 8 * n * t * (d + 1)
+        assert hac_peak < 8 * n * t  # eps_hat alone would take 8 N T bytes
+        assert "eps_hat" not in vars(result) and "v_hat" not in vars(result)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_the_hac_reads_the_same_blocks_before_and_after_the_residuals_form(
+            self, monkeypatch, method):
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", 3 * 8 * 3 * 30)  # 3, 3, 3, 1 units
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=10, t=30, seed=7)).panel
+        result = EstimatorConfig(method).estimate(p)
+        unformed = hac_covariance(result)
+        assert "eps_hat" not in vars(result)
+        rebuilt = EstimationResult(result.beta, method, result.eps_hat, result.v_hat,
+                                   result.projection_rank, result.per_unit_betas)
+        for est in (hac_covariance(result), hac_covariance(rebuilt)):
+            for name in ("sigma_v", "theta", "std_errors"):
+                assert getattr(est, name).tobytes() == getattr(unformed, name).tobytes(), name
 
 
 def assert_scale_equivariant(p, config, c, k):

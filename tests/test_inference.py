@@ -46,7 +46,7 @@ from scce import (
     sandwich_covariance,
     sigma_v_hat,
 )
-from scce import inference, simulate
+from scce import estimators, inference, simulate
 from scce.sieve import TAG_CONSTANT, TAG_LINEAR, TAG_NONLINEAR
 from scce.simulate import Dgp, DgpConfig, generate_panel, stream
 
@@ -164,11 +164,16 @@ class TestHacTheta:
 
     @pytest.mark.parametrize("block_bytes", [1, 1 << 30], ids=["one_unit", "one_block"])
     def test_blocks_of_units_match_dense_oracle(self, monkeypatch, block_bytes):
-        monkeypatch.setattr(inference, "_BLOCK_BYTES", block_bytes)
-        result = random_result(n=7, t=20, d=2, seed=26)
-        for window in (2, 5):
-            want = dense_hac_oracle(result, window)
-            assert np.abs(hac_theta(result, window) - want).max() <= 1e-13 * np.abs(want).max()
+        # A result of the public constructor reads its residuals' blocks; an
+        # estimate's result, blocks of the panel until the oracle forms them.
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
+        p = generate_panel(DgpConfig(dgp=Dgp.E1, n=7, t=30, seed=26)).panel
+        for result in (random_result(n=7, t=20, d=2, seed=26),
+                       EstimatorConfig(Method.CCEP).estimate(p)):
+            got = {window: hac_theta(result, window) for window in (2, 5)}
+            for window in (2, 5):
+                want = dense_hac_oracle(result, window)
+                assert np.abs(got[window] - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_window_too_large(self):
         result = random_result(n=2, t=10, seed=4)
@@ -236,15 +241,20 @@ class TestSandwichCovariance:
         assert est.hac_window == 2
 
     def test_bit_identical_at_one_and_two_blas_threads(self):
-        # Large enough that OpenBLAS may split the lag GEMMs across threads.
+        # Large enough that OpenBLAS may split Sigma_v's block GEMMs across
+        # threads; the estimate's HAC reads blocks the kernel projects.
         script = ("import numpy as np\n"
-                  "from scce import EstimationResult, Method, hac_covariance\n"
+                  "from scce import (DgpConfig, EstimationResult, EstimatorConfig, Method,\n"
+                  "                  generate_panel, hac_covariance)\n"
                   "rng = np.random.default_rng(25)\n"
                   "r = EstimationResult(beta=np.zeros(3), method=Method.SCCE, projection_rank=0,\n"
                   "                     eps_hat=rng.normal(size=(300, 200)),\n"
                   "                     v_hat=rng.normal(size=(300, 200, 3)))\n"
-                  "est = hac_covariance(r)\n"
-                  "print(est.theta.tobytes().hex(), est.sigma_v.tobytes().hex())\n")
+                  "p = generate_panel(DgpConfig(n=300, t=200, seed=25)).panel\n"
+                  "for result in (r, EstimatorConfig(Method.CCEP).estimate(p)):\n"
+                  "    est = hac_covariance(result)\n"
+                  "    print(est.theta.tobytes().hex(), est.sigma_v.tobytes().hex(),\n"
+                  "          result.beta.tobytes().hex())\n")
         src = str(Path(inference.__file__).parents[1])
         out = []
         for threads in ("1", "2"):
@@ -253,7 +263,7 @@ class TestSandwichCovariance:
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             out.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                       capture_output=True, text=True).stdout)
-        assert out[0] == out[1] and out[0].strip()
+        assert out[0] == out[1] and len(out[0].split()) == 6
 
 
 class TestBootstrapCi:
