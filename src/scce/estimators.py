@@ -4,14 +4,14 @@ Each estimator projects a column span out of every unit's [y, X] and solves
 the normal equations: SCCE the sieve of the factor proxy, pooled; CCEP
 [1, F_hat], pooled; CCEMG [1, F_hat], per unit and averaged. One kernel,
 ``_estimate_reweighted``, solves a stack of panels, given as unit weights on
-one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``),
-residuals and Grams a cache-sized block of units at a time; no T x T matrix is
-formed; a block is a view of the panel's own (N, d + 1, T) stack Z of [y, X]'.
-A point estimate is its one-panel case; its result keeps no residuals, reading
-them from Z by blocks (``EstimationResult._blocks``) for the HAC or to form
-eps_hat and v_hat on first read. Draws and Monte Carlo replications need only
-betas (``draw_betas``): their Grams are the downdates Z'Z - C C', C = Z U,
-unless the projection removes nearly all of X (``_DOWNDATE_FLOOR``).
+one panel, with one stacked SVD of their columns (``EstimatorConfig.columns``).
+Its Grams are the downdates Z'Z - C C', C = Z U, of the panel's (N, d + 1, T)
+stack Z of [y, X]'; only where the projection removes nearly all of X
+(``_DOWNDATE_FLOOR``) do residuals, projected one cache-sized view of Z at a
+time, give them. No T x T matrix is formed. A point estimate is the one-panel
+case; its result reads residuals by the same blocks (``EstimationResult._blocks``)
+for the HAC or to form eps_hat and v_hat on first read; draws and Monte Carlo
+replications need only betas (``draw_betas``).
 """
 
 from __future__ import annotations
@@ -207,21 +207,21 @@ def _residual_blocks(z: np.ndarray, u: np.ndarray):
         yield lo, resid.reshape(b, m, d1, t)
 
 
-def _residual_grams(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The (B, N, d + 1, d + 1) per-unit Grams [y, X]' M [y, X] of ``_residual_blocks``."""
-    return np.concatenate([r @ r.transpose(0, 1, 3, 2) for _, r in _residual_blocks(z, u)], 1)
-
-
 def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray,
                      rank: np.ndarray) -> np.ndarray:
-    """The per-unit Grams of ``_residual_grams`` as Z'Z - C C', C = Z U, with
-    no residual stack. A draw takes the residual Grams where its downdate is
-    not finite or keeps at most _DOWNDATE_FLOOR of tr(X'X): pooled, in the
-    trace tr(X'MX) summed over its units; for CCEMG, in the smallest
-    eigenvalue of any of its units' X_i'MX_i, since each unit is solved alone."""
+    """The (B, N, d + 1, d + 1) per-unit Grams [y, X]' M [y, X] as Z'Z - C C',
+    C = Z U, formed _BLOCK_BYTES of z's rows at a time, since one whole-panel
+    GEMM gives C other bits at two BLAS threads than at one (seen at T = 500).
+    A panel takes its Grams from ``_residual_blocks`` where its downdate is not
+    finite or keeps at most _DOWNDATE_FLOOR of tr(X'X): pooled, in the trace
+    tr(X'MX) summed over its units; for CCEMG, in the smallest eigenvalue of
+    any of its units' X_i'MX_i, since each unit is solved alone."""
     n, d1, t = z.shape
-    zr = z.reshape(n * d1, t)
-    c = (zr @ u).reshape(len(u), n, d1, -1)
+    zr, size = z.reshape(n * d1, t), max(1, _BLOCK_BYTES // (8 * t))
+    c = np.empty((len(u), n * d1, u.shape[2]))
+    for lo in range(0, n * d1, size):
+        np.matmul(zr[lo:lo + size], u, out=c[:, lo:lo + size])
+    c = c.reshape(len(u), n, d1, -1)
     raw = z @ z.transpose(0, 2, 1)
     grams = raw - c @ c.transpose(0, 1, 3, 2)
     total = np.trace(raw[:, 1:, 1:], axis1=-2, axis2=-1)  # (N,) tr(X_i' X_i)
@@ -235,26 +235,23 @@ def _downdated_grams(method: Method, z: np.ndarray, w: np.ndarray, u: np.ndarray
         low = ~((w * kept).sum(axis=1) > _DOWNDATE_FLOOR * (w @ total))
     low &= rank < t  # _solve rejects a draw of rank T without its Grams
     if low.any():
-        grams[low] = _residual_grams(z, u[low])
+        grams[low] = np.concatenate(
+            [r @ r.transpose(0, 1, 3, 2) for _, r in _residual_blocks(z, u[low])], 1)
     return grams
 
 
 def _estimate_reweighted(method: Method, z: np.ndarray, w: np.ndarray, cols: np.ndarray,
-                         widths, labels, residuals: bool = True) -> tuple:
+                         widths, labels) -> tuple:
     """The estimation kernel: panel b repeats unit i w[b, i] times (rows of w
     sum to N) and projects the span of cols[b] (``widths`` as in
     ``_orthonormal_span``) out of a panel's (N, d + 1, T) stack z of [y, X]'.
     Returns ``_solve``'s betas and errors (``labels`` name the units), the
     (B,) ranks, the (B, T, K) orthonormal bases and the CCEMG per-unit betas.
-    With ``residuals`` the Grams come from ``_residual_grams``, which keeps no
-    residuals, else from ``_downdated_grams``."""
+    Every panel's Grams come from ``_downdated_grams``."""
     finite = np.isfinite(cols).all(axis=(1, 2))
     u, rank = _orthonormal_span(np.where(finite[:, None, None], cols, 0.0), widths)
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports an overflow
-        if residuals:
-            grams = _residual_grams(z, u)
-        else:
-            grams = _downdated_grams(method, z, w, u, rank)
+        grams = _downdated_grams(method, z, w, u, rank)
         grams[w == 0] = 0.0  # a unit a panel leaves out must not overflow its sum
         if method != Method.CCEMG:
             grams = np.einsum("bi,bikl->bkl", w, grams)[:, None]
@@ -312,12 +309,11 @@ class EstimatorConfig:
 
     def draw_betas(self, p: PanelData, w: np.ndarray) -> list:
         """``self.estimate(q).beta`` of each panel q that repeats unit i of p
-        w[b, i] times, or its ScceError; q's proxy is the plain mean w[b] Z / N
-        of p's stack Z, and its Grams are downdates, with no residuals."""
+        w[b, i] times, or its ScceError, with no result to hold residuals; q's
+        proxy is the plain mean w[b] Z / N of p's stack Z."""
         n, d1, t = p._z.shape
         cols, widths = self.columns((w @ p._z.reshape(n, -1) / n).reshape(-1, d1, t))
-        beta, errors, *_ = _estimate_reweighted(self.method, p._z, w, cols, widths, range(n),
-                                                residuals=False)
+        beta, errors, *_ = _estimate_reweighted(self.method, p._z, w, cols, widths, range(n))
         return [b if e is None else e for b, e in zip(beta, errors)]
 
     def basis(self, p: PanelData) -> SieveBasis:

@@ -277,16 +277,19 @@ def linearity_test(p: PanelData, basis: SieveBasis,
     if q_rank == 0:
         raise NoNonlinearColumns("nonlinear columns lie entirely in the linear proxy span")
 
-    scores = resid @ q_cols  # N x q, unit-level scores Q' u_i
     # HAC covariance of the per-(i, t) score summands q_t * resid_it with
     # Bartlett weights; T * cov approximates the covariance of one unit score.
     def lag_cov(lag: int) -> np.ndarray:
         wl = (resid[:, lag:] * resid[:, :t - lag]).sum(axis=0)
         return (q_cols[lag:] * wl[:, None]).T @ q_cols[:t - lag] / (n * t)
 
-    cov = _bartlett([lag_cov(lag) for lag in range(window + 1)])
-    cov *= t / (t - proxy_rank)
-
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        scores = resid @ q_cols  # N x q, unit-level scores Q' u_i
+        cov = _bartlett([lag_cov(lag) for lag in range(window + 1)])
+        cov *= t / (t - proxy_rank)
+    if not (np.isfinite(scores).all() and np.isfinite(cov).all()):
+        raise NumericalError("linearity statistic overflows: the residuals are too large; "
+                             "rescale the data")
     cov_pinv = np.linalg.pinv(cov)
     statistic = float(np.einsum("iq,qr,ir->", scores, cov_pinv, scores)) / t
     statistic = max(statistic, 0.0)

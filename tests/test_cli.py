@@ -203,6 +203,18 @@ class TestEstimate:
         assert capsys.readouterr().err == "error: factor proxy overflows: the cross-sectional " \
                                           "sums are too large; rescale the data\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e40, 1e80, 1e100])
+    def test_a_linearity_statistic_that_overflows_exits_3_with_one_line(self, tmp_path, capsys,
+                                                                        scale):
+        sp = generate_panel(DgpConfig(dgp=Dgp.E1, n=20, t=30, seed=1)).panel
+        path = write_panel_csv(tmp_path / "huge.csv", make_panel(scale * sp.y, scale * sp.x))
+        assert main(["test-linearity", "--input", path]) == EXIT_NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: linearity statistic overflows: the residuals are too " \
+                               "large; rescale the data\n"
+
     def test_out_of_memory_exits_3_with_one_line(self, monkeypatch, capsys):
         message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
 

@@ -540,21 +540,22 @@ class TestKernel:
 
 
 class TestLazyResiduals:
-    """A point estimate forms eps_hat and v_hat on the first read of either,
-    in one blocked pass over the panel; reading anything else runs no pass,
-    and the HAC reads the same blocks of units without forming them."""
+    """A point estimate's Grams are downdates, so it runs no residual pass; it
+    forms eps_hat and v_hat on the first read of either, in one blocked pass
+    over the panel; reading anything else runs no pass, and the HAC reads the
+    same blocks of units without forming them."""
 
     @pytest.mark.parametrize("first", ["eps_hat", "v_hat"])
     @pytest.mark.parametrize("method", list(Method))
     def test_residuals_form_on_first_read_only(self, monkeypatch, method, first):
         p = noise_panel(9, 40, 2, 5)
-        result = EstimatorConfig(method).estimate(p)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the residual pass ran")
 
         with monkeypatch.context() as patch:
             patch.setattr(estimators, "_residual_blocks", forbidden)
+            result = EstimatorConfig(method).estimate(p)  # its Grams are downdates
             assert result.beta.shape == (2,) and result.projection_rank > 0
             assert (result.per_unit_betas is None) == (method != Method.CCEMG)
             assert (result.n_units, result.n_periods, result.n_regressors) == (9, 40, 2)

@@ -242,7 +242,8 @@ class TestSandwichCovariance:
 
     def test_bit_identical_at_one_and_two_blas_threads(self):
         # Large enough that OpenBLAS may split Sigma_v's block GEMMs across
-        # threads; the estimate's HAC reads blocks the kernel projects.
+        # threads; the estimate's HAC reads blocks the kernel projects. At
+        # 1000 x 500 a whole-panel C = Z U, unblocked, moves betas at two threads.
         script = ("import numpy as np\n"
                   "from scce import (DgpConfig, EstimationResult, EstimatorConfig, Method,\n"
                   "                  generate_panel, hac_covariance)\n"
@@ -254,7 +255,10 @@ class TestSandwichCovariance:
                   "for result in (r, EstimatorConfig(Method.CCEP).estimate(p)):\n"
                   "    est = hac_covariance(result)\n"
                   "    print(est.theta.tobytes().hex(), est.sigma_v.tobytes().hex(),\n"
-                  "          result.beta.tobytes().hex())\n")
+                  "          result.beta.tobytes().hex())\n"
+                  "p = generate_panel(DgpConfig(n=1000, t=500, seed=1)).panel\n"
+                  "for method in Method:\n"
+                  "    print(EstimatorConfig(method).estimate(p).beta.tobytes().hex())\n")
         src = str(Path(inference.__file__).parents[1])
         out = []
         for threads in ("1", "2"):
@@ -263,7 +267,7 @@ class TestSandwichCovariance:
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             out.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                       capture_output=True, text=True).stdout)
-        assert out[0] == out[1] and len(out[0].split()) == 6
+        assert out[0] == out[1] and len(out[0].split()) == 9
 
 
 class TestBootstrapCi:

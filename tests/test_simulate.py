@@ -228,11 +228,11 @@ class TestMonteCarloRun:
 
     def test_replications_form_no_residual_stack(self, monkeypatch, capsys):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a replication took the point-estimate path")
+            raise AssertionError("a replication took the point-estimate path or formed residuals")
 
         monkeypatch.setattr(PanelData, "_proxy", property(forbidden))
         with monkeypatch.context() as patch:
-            patch.setattr(estimators, "_residual_grams", forbidden)
+            patch.setattr(estimators, "_residual_blocks", forbidden)
             for method in Method:
                 report = monte_carlo_run([(30, 40)], DgpConfig(dgp=Dgp.E1),
                                          EstimatorConfig(method), reps=3, seed=5)
